@@ -9,7 +9,7 @@ such packed tables.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 __all__ = [
     "mask_for",
@@ -126,12 +126,3 @@ def expand_with_new_variable(table: int, num_vars: int) -> int:
     """
     rows = 1 << num_vars
     return table | (table << rows)
-
-
-def project_rows(table: int, rows: List[int]) -> int:
-    """Build a new packed table from the listed rows of ``table`` (in order)."""
-    result = 0
-    for new_row, old_row in enumerate(rows):
-        if (table >> old_row) & 1:
-            result |= 1 << new_row
-    return result

@@ -158,11 +158,6 @@ class Aig:
         )
         return len(self._outputs) - 1
 
-    def set_output(self, index: int, literal: int) -> None:
-        """Redefine the literal of an existing output."""
-        self._check_literal(literal)
-        self._outputs[index] = literal
-
     def _check_literal(self, literal: int) -> None:
         if literal < 0 or node_of(literal) >= self.num_nodes:
             raise AigError(f"literal {literal} references a non-existent node")

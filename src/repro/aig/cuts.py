@@ -18,16 +18,18 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from .._bitops import mask_for
 from ..logic.truthtable import TruthTable
-from .aig import Aig, is_complemented, node_of
+from .aig import Aig, node_of
 
 __all__ = ["enumerate_cuts", "cut_function", "mffc_size", "collect_cone_cut"]
 
 Cut = FrozenSet[int]
 
-#: Structural cone descriptor -> packed truth-table bits of the cone output.
-#: Bounded: cleared wholesale when full (entries are cheap to recompute).
-_CONE_CACHE: Dict[Tuple, int] = {}
+#: Structural cone descriptor -> truth table of the cone output (tables are
+#: immutable, so hits share one instance).  Bounded: cleared wholesale when
+#: full (entries are cheap to recompute).
+_CONE_CACHE: Dict[Tuple, TruthTable] = {}
 _CONE_CACHE_LIMIT = 1 << 16
 
 
@@ -81,29 +83,6 @@ def _is_dominated(candidate: Cut, existing: Sequence[Cut]) -> bool:
     return any(cut != candidate and cut <= candidate for cut in existing[1:])
 
 
-def _cone_topological_order(aig: Aig, root: int, cut: Cut) -> List[int]:
-    """AND nodes of the cone of ``root`` bounded by ``cut``, fanins first."""
-    order: List[int] = []
-    visited = set(cut)
-    stack: List[Tuple[int, bool]] = [(root, False)]
-    while stack:
-        node, emit = stack.pop()
-        if emit:
-            order.append(node)
-            continue
-        if node in visited:
-            continue
-        visited.add(node)
-        if not aig.is_and_node(node):
-            raise ValueError(f"node {node} is outside the cut cone but not a leaf")
-        fanin0, fanin1 = aig.fanins(node)
-        stack.append((node, True))
-        for fanin in (node_of(fanin1), node_of(fanin0)):
-            if fanin not in visited:
-                stack.append((fanin, False))
-    return order
-
-
 def cut_function(aig: Aig, root: int, cut: Cut) -> Tuple[TruthTable, List[int]]:
     """Return the function of ``root`` over the cut leaves.
 
@@ -119,43 +98,52 @@ def cut_function(aig: Aig, root: int, cut: Cut) -> Tuple[TruthTable, List[int]]:
         index = leaves.index(root)
         return TruthTable.variable(index, num_vars), leaves
 
-    order = _cone_topological_order(aig, root, cut)
-
-    # Structural descriptor: every cone node encoded by its two fanin slots,
-    # each slot a (position, complement) pair where position indexes the
-    # sorted leaves followed by the cone nodes in topological order.
+    # One depth-first walk (fanin0 first) over the fanin arrays numbers the
+    # cone's AND nodes in topological order and builds the structural
+    # descriptor: every cone node encoded by its two fanin slots, each slot
+    # ``2 * position + complement``, where position indexes the sorted
+    # leaves followed by the cone nodes in that order.
+    fanin0, fanin1, is_input = aig._fanin0, aig._fanin1, aig._is_input
     position: Dict[int, int] = {leaf: index for index, leaf in enumerate(leaves)}
     descriptor: List[Tuple[int, int]] = []
-    for node in order:
-        fanin0, fanin1 = aig.fanins(node)
-        slot0 = position[node_of(fanin0)] * 2 + (1 if is_complemented(fanin0) else 0)
-        slot1 = position[node_of(fanin1)] * 2 + (1 if is_complemented(fanin1) else 0)
-        descriptor.append((slot0, slot1))
+    _check_cone_node(is_input, root)
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        literal0, literal1 = fanin0[node], fanin1[node]
+        slot0 = position.get(literal0 >> 1)
+        if slot0 is None:
+            _check_cone_node(is_input, literal0 >> 1)
+            stack.append(literal0 >> 1)
+            continue
+        slot1 = position.get(literal1 >> 1)
+        if slot1 is None:
+            _check_cone_node(is_input, literal1 >> 1)
+            stack.append(literal1 >> 1)
+            continue
+        stack.pop()
+        descriptor.append((slot0 * 2 + (literal0 & 1), slot1 * 2 + (literal1 & 1)))
         position[node] = len(position)
     key = (num_vars, tuple(descriptor))
 
-    bits = _CONE_CACHE.get(key)
-    if bits is not None:
-        return TruthTable(num_vars, bits), leaves
+    table = _CONE_CACHE.get(key)
+    if table is None:
+        mask = mask_for(num_vars)
+        values = [TruthTable.variable(index, num_vars).bits for index in range(num_vars)]
+        for slot0, slot1 in descriptor:
+            value0 = values[slot0 >> 1] ^ (mask if slot0 & 1 else 0)
+            value1 = values[slot1 >> 1] ^ (mask if slot1 & 1 else 0)
+            values.append(value0 & value1)
+        table = TruthTable(num_vars, values[-1])
+        if len(_CONE_CACHE) >= _CONE_CACHE_LIMIT:
+            _CONE_CACHE.clear()
+        _CONE_CACHE[key] = table
+    return table, leaves
 
-    tables: Dict[int, TruthTable] = {
-        leaf: TruthTable.variable(index, num_vars) for index, leaf in enumerate(leaves)
-    }
-    for node in order:
-        fanin0, fanin1 = aig.fanins(node)
-        table0 = tables[node_of(fanin0)]
-        if is_complemented(fanin0):
-            table0 = ~table0
-        table1 = tables[node_of(fanin1)]
-        if is_complemented(fanin1):
-            table1 = ~table1
-        tables[node] = table0 & table1
 
-    result = tables[root]
-    if len(_CONE_CACHE) >= _CONE_CACHE_LIMIT:
-        _CONE_CACHE.clear()
-    _CONE_CACHE[key] = result.bits
-    return result, leaves
+def _check_cone_node(is_input: List[bool], node: int) -> None:
+    if node == 0 or is_input[node]:
+        raise ValueError(f"node {node} is outside the cut cone but not a leaf")
 
 
 def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -> int:
@@ -166,26 +154,23 @@ def mffc_size(aig: Aig, root: int, cut: Cut, reference_counts: Dict[int, int]) -
     the cone.  ``reference_counts`` must be the current fanout counts of the
     AIG (they are not modified).
     """
-    local_refs = dict(reference_counts)
+    if not aig.is_and_node(root):
+        return 0
+    fanin0, fanin1, is_input = aig._fanin0, aig._fanin1, aig._is_input
+    # Counts lowered so far; every other node keeps ``reference_counts``.
+    lowered: Dict[int, int] = {}
     freed = 0
     stack = [root]
-    first = True
     while stack:
         node = stack.pop()
-        if node in cut and not first:
-            continue
-        if not aig.is_and_node(node):
-            continue
-        if not first and local_refs.get(node, 0) > 0:
-            continue
         freed += 1
-        first = False
-        fanin0, fanin1 = aig.fanins(node)
-        for fanin in (node_of(fanin0), node_of(fanin1)):
-            if fanin in cut or not aig.is_and_node(fanin):
+        for fanin in (fanin0[node] >> 1, fanin1[node] >> 1):
+            if fanin in cut or fanin == 0 or is_input[fanin]:
                 continue
-            local_refs[fanin] = local_refs.get(fanin, 0) - 1
-            if local_refs[fanin] <= 0:
+            count = lowered.get(fanin)
+            count = (reference_counts.get(fanin, 0) if count is None else count) - 1
+            lowered[fanin] = count
+            if count <= 0:
                 stack.append(fanin)
     return freed
 

@@ -156,17 +156,31 @@ class CamouflageLibrary:
         return None
 
 
+#: (num_vars, bits, pin_of_leaf, num_pins) -> lifted table.  Cell matching
+#: lifts the same few leaf functions through the same pin permutations for
+#: every tree of every design.  Bounded: cleared wholesale when full.
+_LIFT_CACHE: Dict[Tuple[int, int, Tuple[int, ...], int], TruthTable] = {}
+_LIFT_CACHE_LIMIT = 1 << 16
+
+
 def _lift_to_pins(
-    function: TruthTable, pin_of_leaf: Sequence[int], num_pins: int
+    function: TruthTable, pin_of_leaf: Tuple[int, ...], num_pins: int
 ) -> TruthTable:
     """Express a leaf-variable function over the cell-pin variable space."""
-    substitutions = [
-        TruthTable.variable(pin_of_leaf[leaf], num_pins)
-        for leaf in range(function.num_vars)
-    ]
-    if function.num_vars == 0:
-        return TruthTable.constant(num_pins, bool(function.bits & 1))
-    return function.compose(substitutions)
+    key = (function.num_vars, function.bits, pin_of_leaf, num_pins)
+    lifted = _LIFT_CACHE.get(key)
+    if lifted is None:
+        if function.num_vars == 0:
+            lifted = TruthTable.constant(num_pins, bool(function.bits & 1))
+        else:
+            lifted = function.compose([
+                TruthTable.variable(pin_of_leaf[leaf], num_pins)
+                for leaf in range(function.num_vars)
+            ])
+        if len(_LIFT_CACHE) >= _LIFT_CACHE_LIMIT:
+            _LIFT_CACHE.clear()
+        _LIFT_CACHE[key] = lifted
+    return lifted
 
 
 def default_camouflage_library(

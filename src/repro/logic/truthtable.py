@@ -12,7 +12,6 @@ sizes that matter in this project (4 to about 12 inputs).
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .._bitops import (
@@ -183,7 +182,13 @@ class TruthTable:
 
     def depends_on(self, var: int) -> bool:
         """Return True if the function depends on variable ``var``."""
-        return self.cofactor(var, 0) != self.cofactor(var, 1)
+        if not 0 <= var < self._num_vars:
+            raise ValueError(f"variable index {var} out of range")
+        # Compare each row where x_var = 0 with its x_var = 1 partner; the
+        # shifted projection of x_var marks exactly the x_var = 0 rows.
+        shift = 1 << var
+        rows = TruthTable.variable(var, self._num_vars)._bits >> shift
+        return ((self._bits ^ (self._bits >> shift)) & rows) != 0
 
     def support(self) -> Tuple[int, ...]:
         """Return the tuple of variable indices the function depends on."""
@@ -390,13 +395,3 @@ class TruthTable:
     def to_binary_string(self) -> str:
         """Return the output column as a binary string, minterm 0 first."""
         return "".join(str(bit_at(self._bits, row)) for row in range(self.num_rows))
-
-
-def reduce_and(tables: Iterable[TruthTable]) -> TruthTable:
-    """AND-reduce an iterable of same-arity truth tables."""
-    return reduce(lambda a, b: a & b, tables)
-
-
-def reduce_or(tables: Iterable[TruthTable]) -> TruthTable:
-    """OR-reduce an iterable of same-arity truth tables."""
-    return reduce(lambda a, b: a | b, tables)

@@ -43,11 +43,6 @@ class Cnf:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def detach(self, listener: object) -> None:
-        """Remove a previously attached listener (no-op when absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     # -------------------------------------------------------------- #
     # Variable management
     # -------------------------------------------------------------- #

@@ -58,10 +58,20 @@ class _TreeMapper:
         self._library = library
         self._netlist = Netlist(name, library)
         self._reference = self._aig.reference_counts()
+        # Nodes no tree expands through (PIs, constant, multi-fanout nodes);
+        # below any other root they are tree inputs.
+        self._boundary = {
+            node for node in range(self._aig.num_nodes)
+            if not self._aig.is_and_node(node) or self._reference.get(node, 0) > 1
+        }
+        self._inv_area = library["INV"].area
         # Net carrying each (node, phase); phase True = non-complemented.
         self._nets: Dict[Tuple[int, bool], str] = {}
         # Memoised DP cost of producing (literal) inside the current tree.
         self._cost_cache: Dict[int, float] = {}
+        # Memoised best direct cover (cost, cell, leaves) of (literal) inside
+        # the current tree.
+        self._best_cover: Dict[int, Tuple[float, str, List[int]]] = {}
         self._roots: List[int] = []
 
     # -------------------------------------------------------------- #
@@ -95,142 +105,101 @@ class _TreeMapper:
                 roots.append(node)
         return roots
 
-    def _is_tree_internal(self, node: int, root: int) -> bool:
-        """True if ``node`` belongs to the tree hanging below ``root``."""
-        if node == root:
-            return True
-        return (
-            self._aig.is_and_node(node)
-            and self._reference.get(node, 0) <= 1
-        )
+    def _is_tree_input(self, node: int, root: int) -> bool:
+        """True if ``node`` is a leaf of the tree below ``root`` (not inside it)."""
+        return node != root and node in self._boundary
 
     # -------------------------------------------------------------- #
     # DP cost model
     # -------------------------------------------------------------- #
-    def _collect_and_leaves(self, literal: int, root: int, limit: int) -> List[int]:
-        """Flatten the AND tree under a non-complemented literal (up to ``limit``)."""
-        leaves = [literal]
-        while len(leaves) < limit:
-            expanded = False
-            for index, leaf in enumerate(leaves):
-                node = node_of(leaf)
-                if is_complemented(leaf) or not self._aig.is_and_node(node):
-                    continue
-                if node != root and not self._is_tree_internal(node, root):
-                    continue
-                if node == root and leaf != Aig.lit(root):
-                    continue
-                fanin0, fanin1 = self._aig.fanins(node)
-                if len(leaves) + 1 > limit:
-                    continue
-                leaves = leaves[:index] + [fanin0, fanin1] + leaves[index + 1:]
-                expanded = True
-                break
-            if not expanded:
-                break
-        return leaves
+    def _and_leaf_sets(self, literal: int, root: int) -> List[List[int]]:
+        """Leaf sets of the AND tree under a non-complemented literal, 2 to 4 wide.
 
-    def _collect_or_leaves(self, literal: int, root: int, limit: int) -> List[int]:
-        """Flatten the OR tree: ``literal`` must be seen as an OR of the result."""
+        One greedy expansion (always the first expandable leaf) yields every
+        width: each narrower set is an earlier state of the widest one.  The
+        OR tree under the complemented literal has the same sets, each leaf
+        complemented.
+        """
+        fanins = self._aig.fanins
         leaves = [literal]
-        while len(leaves) < limit:
-            expanded = False
-            for index, leaf in enumerate(leaves):
-                node = node_of(leaf)
-                if not is_complemented(leaf) or not self._aig.is_and_node(node):
-                    continue
-                if not self._is_tree_internal(node, root) and node != root:
-                    continue
-                fanin0, fanin1 = self._aig.fanins(node)
-                leaves = (
-                    leaves[:index]
-                    + [negate(fanin0), negate(fanin1)]
-                    + leaves[index + 1:]
-                )
-                expanded = True
+        sets: List[List[int]] = []
+        start = 0
+        while len(leaves) < _MAX_SIMPLE_GATE_INPUTS:
+            # Leaves before the last expanded one stay unexpandable.
+            for index in range(start, len(leaves)):
+                leaf = leaves[index]
+                if not is_complemented(leaf) and not self._is_tree_input(node_of(leaf), root):
+                    break
+            else:
                 break
-            if not expanded:
-                break
-        return leaves
+            leaves = leaves[:index] + list(fanins(node_of(leaf))) + leaves[index + 1:]
+            sets.append(leaves)
+            start = index
+        return sets
 
     def _leaf_cost(self, literal: int, root: int) -> float:
         """Cost of obtaining the signal of ``literal`` (recursive DP)."""
-        node = node_of(literal)
-        aig = self._aig
-        if not aig.is_and_node(node) or (node != root and not self._is_tree_internal(node, root)):
+        if self._is_tree_input(node_of(literal), root):
             # Tree input: the positive phase already exists (PI or other root).
-            return 0.0 if not is_complemented(literal) else self._library["INV"].area
-        return self._signal_cost(literal, root)
-
-    def _signal_cost(self, literal: int, root: int) -> float:
-        cached = self._cost_cache.get(literal)
-        if cached is not None:
-            return cached
-        # Temporarily seed with infinity to break pathological cycles (none
-        # should exist in a DAG, but the guard keeps recursion safe).
-        self._cost_cache[literal] = float("inf")
-        structural = self._structural_cost(literal, root)
-        opposite = self._structural_cost(negate(literal), root)
-        cost = min(structural, opposite + self._library["INV"].area)
-        self._cost_cache[literal] = cost
-        self._cost_cache.setdefault(negate(literal), min(opposite, structural + self._library["INV"].area))
+            return self._inv_area if is_complemented(literal) else 0.0
+        cost = self._cost_cache.get(literal)
+        if cost is None:
+            structural = self._cover(literal, root)[0]
+            opposite = self._cover(negate(literal), root)[0]
+            cost = min(structural, opposite + self._inv_area)
+            self._cost_cache[literal] = cost
+            self._cost_cache.setdefault(negate(literal), min(opposite, structural + self._inv_area))
         return cost
 
-    def _structural_cost(self, literal: int, root: int) -> float:
-        """Cost of the best direct gate cover for ``literal`` (no leading INV)."""
-        node = node_of(literal)
-        aig = self._aig
-        if not aig.is_and_node(node) or (node != root and not self._is_tree_internal(node, root)):
-            return 0.0 if not is_complemented(literal) else self._library["INV"].area
-        best = float("inf")
-        if not is_complemented(literal):
-            for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1):
-                leaves = self._collect_and_leaves(literal, root, width)
-                if len(leaves) < 2 or len(leaves) > width:
-                    continue
-                cost = self._library[f"AND{len(leaves)}"].area + sum(
-                    self._leaf_cost(leaf, root) for leaf in leaves
-                )
-                best = min(best, cost)
-                nor_leaves = self._collect_or_leaves(negate(literal), root, width)
-                if 2 <= len(nor_leaves) <= width:
-                    cost = self._library[f"NOR{len(nor_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in nor_leaves
-                    )
-                    best = min(best, cost)
-        else:
-            for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1):
-                leaves = self._collect_and_leaves(negate(literal), root, width)
-                if 2 <= len(leaves) <= width:
-                    cost = self._library[f"NAND{len(leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in leaves
-                    )
-                    best = min(best, cost)
-                or_leaves = self._collect_or_leaves(literal, root, width)
-                if 2 <= len(or_leaves) <= width:
-                    cost = self._library[f"OR{len(or_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in or_leaves
-                    )
-                    best = min(best, cost)
-        return best
+    def _cover(self, literal: int, root: int) -> Tuple[float, str, List[int]]:
+        """Best direct gate cover (cost, cell, leaves) of ``literal``, no leading INV.
+
+        Both phases of a node are covered together: AND/NAND read the AND-tree
+        leaves, NOR/OR the same leaves complemented, so each leaf set's cost
+        sums serve two cells.  Candidates go by width, AND-type before
+        OR-type; the first of equal cost wins.
+        """
+        cover = self._best_cover.get(literal)
+        if cover is not None:
+            return cover
+        positive = literal & ~1
+        library = self._library
+        no_cover: Tuple[float, str, List[int]] = (float("inf"), "", [])
+        best = {positive: no_cover, negate(positive): no_cover}
+        for leaves in self._and_leaf_sets(positive, root):
+            width = len(leaves)
+            complemented = [negate(leaf) for leaf in leaves]
+            and_sum = sum(self._leaf_cost(leaf, root) for leaf in leaves)
+            or_sum = sum(self._leaf_cost(leaf, root) for leaf in complemented)
+            for target, cell, cell_leaves, leaf_sum in (
+                (positive, f"AND{width}", leaves, and_sum),
+                (positive, f"NOR{width}", complemented, or_sum),
+                (negate(positive), f"NAND{width}", leaves, and_sum),
+                (negate(positive), f"OR{width}", complemented, or_sum),
+            ):
+                cost = library[cell].area + leaf_sum
+                if cost < best[target][0]:
+                    best[target] = (cost, cell, cell_leaves)
+        self._best_cover.update(best)
+        return best[literal]
 
     # -------------------------------------------------------------- #
     # Netlist emission
     # -------------------------------------------------------------- #
     def _emit_root(self, root: int) -> None:
         self._cost_cache = {}
+        self._best_cover = {}
         self._emit_literal(Aig.lit(root), root)
 
     def _emit_literal(self, literal: int, root: int) -> str:
         """Emit cells to produce the signal of ``literal``; return its net."""
         node = node_of(literal)
-        aig = self._aig
         phase = not is_complemented(literal)
         existing = self._nets.get((node, phase))
         if existing is not None:
             return existing
 
-        if not aig.is_and_node(node) or (node != root and not self._is_tree_internal(node, root)):
+        if self._is_tree_input(node, root):
             # Tree input: positive net must exist already (PIs seeded, other
             # roots emitted earlier in topological order).
             positive = self._nets.get((node, True))
@@ -247,58 +216,17 @@ class _TreeMapper:
             self._nets[(node, False)] = net
             return net
 
-        structural = self._structural_cost(literal, root)
-        opposite = self._structural_cost(negate(literal), root)
-        if structural <= opposite + self._library["INV"].area:
-            net = self._emit_structural(literal, root)
+        cost, cell, leaves = self._cover(literal, root)
+        if cost <= self._cover(negate(literal), root)[0] + self._inv_area:
+            if not cell:
+                raise MappingError(f"no gate cover found for literal {literal}")
+            input_nets = [self._emit_literal(leaf, root) for leaf in leaves]
+            net = self._netlist.add_instance(cell, input_nets).output
         else:
             source = self._emit_literal(negate(literal), root)
             net = self._netlist.add_instance("INV", [source]).output
         self._nets[(node, phase)] = net
         return net
-
-    def _emit_structural(self, literal: int, root: int) -> str:
-        """Emit the best direct gate cover chosen by :meth:`_structural_cost`."""
-        node = node_of(literal)
-        best_cost = float("inf")
-        best_cell = ""
-        best_leaves: List[int] = []
-        positive = not is_complemented(literal)
-        for width in range(2, _MAX_SIMPLE_GATE_INPUTS + 1):
-            if positive:
-                and_leaves = self._collect_and_leaves(literal, root, width)
-                if 2 <= len(and_leaves) <= width:
-                    cost = self._library[f"AND{len(and_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in and_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"AND{len(and_leaves)}", and_leaves
-                nor_leaves = self._collect_or_leaves(negate(literal), root, width)
-                if 2 <= len(nor_leaves) <= width:
-                    cost = self._library[f"NOR{len(nor_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in nor_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"NOR{len(nor_leaves)}", nor_leaves
-            else:
-                nand_leaves = self._collect_and_leaves(negate(literal), root, width)
-                if 2 <= len(nand_leaves) <= width:
-                    cost = self._library[f"NAND{len(nand_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in nand_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"NAND{len(nand_leaves)}", nand_leaves
-                or_leaves = self._collect_or_leaves(literal, root, width)
-                if 2 <= len(or_leaves) <= width:
-                    cost = self._library[f"OR{len(or_leaves)}"].area + sum(
-                        self._leaf_cost(leaf, root) for leaf in or_leaves
-                    )
-                    if cost < best_cost:
-                        best_cost, best_cell, best_leaves = cost, f"OR{len(or_leaves)}", or_leaves
-        if not best_cell:
-            raise MappingError(f"no gate cover found for literal {literal}")
-        input_nets = [self._emit_literal(leaf, root) for leaf in best_leaves]
-        return self._netlist.add_instance(best_cell, input_nets).output
 
     def _connect_outputs(self) -> None:
         aig = self._aig

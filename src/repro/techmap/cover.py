@@ -41,11 +41,6 @@ class CoveredCell:
     config_by_select: Dict[Tuple[int, ...], TruthTable]
     area: float
 
-    def nominal_config(self) -> TruthTable:
-        """The configuration for the all-zero select assignment."""
-        zero = tuple(0 for _ in self.select_leaves)
-        return self.config_by_select[zero]
-
 
 @dataclass
 class TreeCover:

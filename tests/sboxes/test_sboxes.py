@@ -6,6 +6,7 @@ from repro.logic import differential_uniformity, is_optimal_4bit_sbox, linearity
 from repro.sboxes import (
     DES_SBOX_ROWS,
     NUM_DES_SBOXES,
+    OPTIMAL_SBOXES,
     PRESENT_SBOX,
     des_sbox,
     des_sbox_lookup,
@@ -62,6 +63,10 @@ class TestOptimalSet:
             optimal_sboxes(17)
         with pytest.raises(IndexError):
             optimal_sbox(16)
+
+    def test_pinned_tables_reproduce_the_search(self):
+        assert find_optimal_sboxes(15, seed=2017, exclude=[PRESENT_SBOX]) == OPTIMAL_SBOXES[1:]
+        assert optimal_sbox_tables() == OPTIMAL_SBOXES
 
     def test_generator_is_deterministic(self):
         first = find_optimal_sboxes(3, seed=77)
