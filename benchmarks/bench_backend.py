@@ -52,7 +52,6 @@ TRANSCRIPT_KEYS = (
     "num_vars",
     "num_clauses",
     "learned_clauses",
-    "forgotten_clauses",
 )
 
 

@@ -5,8 +5,8 @@
  *
  * 1. ``SolverCore`` — the CDCL inner core (watched-literal unit propagation,
  *    1-UIP conflict analysis with clause learning, the VSIDS order-heap,
- *    geometric/Luby restarts, learned-clause reduction, solve budgets, and
- *    LBD clause forgetting).  Every algorithmic step mirrors
+ *    geometric restarts, size-based learned-clause reduction, and solve
+ *    budgets).  Every algorithmic step mirrors
  *    ``repro/sat/solver.py`` exactly — the same watcher-list append and
  *    swap-remove order, the same lazy heap with IEEE-double activity keys,
  *    the same literal orders in learned clauses — so decisions, conflicts,
@@ -60,7 +60,6 @@ static int iv_push(IntVec *v, int value)
 typedef struct {
     int *lits;
     int size;
-    int lbd;
     uint8_t learned;
 } NClause;
 
@@ -121,19 +120,11 @@ typedef struct {
     long long propagations;
     long long restarts;
     long long budget_exhaustions;
-    long long forgotten_clauses;
-
-    int luby;      /* 0 geometric, 1 reluctant doubling */
-    int luby_base;
-    long long forget_limit; /* 0 = forgetting disabled */
 
     /* scratch */
     int8_t *mark;       /* add_clause dedup, per var */
     uint8_t *seen;      /* conflict analysis, per var */
     int *learned_buf;   /* learned clause under construction */
-    int *level_mark;    /* LBD computation, per level */
-    int level_mark_cap;
-    int level_stamp;
 
     int mem_error; /* sticky allocation failure inside nogil sections */
 } SolverCore;
@@ -311,22 +302,6 @@ static int reserve_trail_lim(SolverCore *s, int need)
     return 0;
 }
 
-static int reserve_level_marks(SolverCore *s, int need)
-{
-    if (need <= s->level_mark_cap)
-        return 0;
-    int cap = s->level_mark_cap ? s->level_mark_cap : 16;
-    while (cap < need)
-        cap *= 2;
-    int *p = (int *)realloc(s->level_mark, (size_t)cap * sizeof(int));
-    if (p == NULL)
-        return -1;
-    memset(p + s->level_mark_cap, 0, (size_t)(cap - s->level_mark_cap) * sizeof(int));
-    s->level_mark = p;
-    s->level_mark_cap = cap;
-    return 0;
-}
-
 static int core_reserve_vars(SolverCore *s, int num_vars)
 {
     if (num_vars <= s->num_vars)
@@ -349,7 +324,7 @@ static int core_reserve_vars(SolverCore *s, int num_vars)
 }
 
 /* ---- clause attach ------------------------------------------------ */
-static int attach_clause(SolverCore *s, const int *lits, int size, int learned, int lbd)
+static int attach_clause(SolverCore *s, const int *lits, int size, int learned)
 {
     if (s->num_clauses == s->cap_clauses) {
         int cap = s->cap_clauses ? s->cap_clauses * 2 : 16;
@@ -372,7 +347,6 @@ static int attach_clause(SolverCore *s, const int *lits, int size, int learned, 
     c->lits = copy;
     c->size = size;
     c->learned = (uint8_t)learned;
-    c->lbd = lbd;
     s->num_clauses++;
     if (learned)
         s->num_learned++;
@@ -467,7 +441,7 @@ static int bump_activity(SolverCore *s, int v)
 
 /* ---- conflict analysis (first UIP) -------------------------------- */
 static int analyze(SolverCore *s, int conflict_index, int *out_size,
-                   int *out_btlevel, int *out_lbd)
+                   int *out_btlevel)
 {
     int *learned = s->learned_buf;
     int learned_len = 1;
@@ -527,27 +501,8 @@ static int analyze(SolverCore *s, int conflict_index, int *out_size,
         btlevel = s->level[litvar(learned[1])];
     }
 
-    int lbd = 0;
-    if (s->forget_limit > 0) {
-        /* Distinct decision levels among the learned literals, measured
-         * before backtracking — the classic LBD score. */
-        if (reserve_level_marks(s, current_level + 2) < 0) {
-            s->mem_error = 1;
-            return -1;
-        }
-        s->level_stamp++;
-        for (int k = 0; k < learned_len; k++) {
-            int lvl = s->level[litvar(learned[k])];
-            if (s->level_mark[lvl] != s->level_stamp) {
-                s->level_mark[lvl] = s->level_stamp;
-                lbd++;
-            }
-        }
-    }
-
     *out_size = learned_len;
     *out_btlevel = btlevel;
-    *out_lbd = lbd;
     return 0;
 }
 
@@ -591,9 +546,8 @@ static void rebuild_watches_and_reasons(SolverCore *s)
         s->reason[v] = -1;
 }
 
-/* Size-based policy — the historic default, byte-identical to the pure
- * solver's _reduce_learned: keep short learned clauses, drop the older
- * half of the long ones. */
+/* Size-based policy, byte-identical to the pure solver's _reduce_learned:
+ * keep short learned clauses, drop the older half of the long ones. */
 static int reduce_learned(SolverCore *s)
 {
     if (s->trail_lim_len != 0)
@@ -644,82 +598,6 @@ static int reduce_learned(SolverCore *s)
             num_learned++;
     s->num_learned = num_learned;
     rebuild_watches_and_reasons(s);
-    return s->mem_error ? -1 : 0;
-}
-
-/* LBD policy (REPRO_CLAUSE_FORGET): glue clauses (LBD <= 2) are permanent;
- * of the rest, the half with the highest LBD is forgotten (ties broken by
- * age — newer clauses survive).  Mirrors _reduce_learned_lbd exactly. */
-static int reduce_learned_lbd(SolverCore *s)
-{
-    if (s->trail_lim_len != 0)
-        return 0;
-    if ((long long)s->num_learned < s->forget_limit)
-        return 0;
-    int candidates = 0;
-    int max_lbd = 0;
-    for (int i = 0; i < s->num_clauses; i++) {
-        NClause *c = &s->clauses[i];
-        if (c->learned && c->lbd > 2) {
-            candidates++;
-            if (c->lbd > max_lbd)
-                max_lbd = c->lbd;
-        }
-    }
-    if (candidates == 0) {
-        s->forget_limit += s->forget_limit / 2;
-        return 0;
-    }
-    long long keep_target = candidates / 2;
-    long long *buckets = (long long *)calloc((size_t)max_lbd + 1, sizeof(long long));
-    uint8_t *keep_flag = (uint8_t *)calloc((size_t)s->num_clauses, 1);
-    if (buckets == NULL || keep_flag == NULL) {
-        free(buckets);
-        free(keep_flag);
-        s->mem_error = 1;
-        return -1;
-    }
-    for (int i = 0; i < s->num_clauses; i++) {
-        NClause *c = &s->clauses[i];
-        if (c->learned && c->lbd > 2)
-            buckets[c->lbd]++;
-    }
-    int threshold = 3;
-    long long acc = 0;
-    while (threshold <= max_lbd && acc + buckets[threshold] <= keep_target) {
-        acc += buckets[threshold];
-        threshold++;
-    }
-    long long remaining = keep_target - acc;
-    long long taken = 0;
-    for (int i = s->num_clauses - 1; i >= 0 && taken < remaining; i--) {
-        NClause *c = &s->clauses[i];
-        if (c->learned && c->lbd == threshold) {
-            keep_flag[i] = 1;
-            taken++;
-        }
-    }
-    int out = 0;
-    for (int i = 0; i < s->num_clauses; i++) {
-        NClause *c = &s->clauses[i];
-        int keep = !c->learned || c->lbd <= 2 || c->lbd < threshold || keep_flag[i];
-        if (keep) {
-            s->clauses[out++] = *c;
-        } else {
-            s->forgotten_clauses++;
-            free(c->lits);
-        }
-    }
-    s->num_clauses = out;
-    free(buckets);
-    free(keep_flag);
-    int num_learned = 0;
-    for (int i = 0; i < s->num_clauses; i++)
-        if (s->clauses[i].learned)
-            num_learned++;
-    s->num_learned = num_learned;
-    rebuild_watches_and_reasons(s);
-    s->forget_limit += s->forget_limit / 2;
     return s->mem_error ? -1 : 0;
 }
 
@@ -810,7 +688,7 @@ static int core_add_clause(SolverCore *s, const int *lits, int n)
             s->trivially_unsat = 1;
         return 0;
     }
-    int index = attach_clause(s, cleaned, cleaned_len, 0, 0);
+    int index = attach_clause(s, cleaned, cleaned_len, 0);
     free(cleaned);
     return index < 0 ? -1 : 0;
 }
@@ -845,12 +723,7 @@ static int core_solve(SolverCore *s, const int *assumptions, int nassump,
     if (backtrack(s, 0) < 0)
         return SOLVE_MEMERR;
 
-    long long luby_u = 1, luby_v = 1;
-    long long restart_limit;
-    if (s->luby)
-        restart_limit = (long long)s->luby_base * luby_v;
-    else
-        restart_limit = 100;
+    long long restart_limit = 100;
     long long conflicts_since_restart = 0;
 
     for (;;) {
@@ -878,8 +751,8 @@ static int core_solve(SolverCore *s, const int *assumptions, int nassump,
                     return SOLVE_UNKNOWN;
                 }
             }
-            int learned_size, btlevel, lbd;
-            if (analyze(s, conflict, &learned_size, &btlevel, &lbd) < 0)
+            int learned_size, btlevel;
+            if (analyze(s, conflict, &learned_size, &btlevel) < 0)
                 return SOLVE_MEMERR;
             if (backtrack(s, btlevel) < 0)
                 return SOLVE_MEMERR;
@@ -889,7 +762,7 @@ static int core_solve(SolverCore *s, const int *assumptions, int nassump,
                     return SOLVE_UNSAT;
                 }
             } else {
-                int ci = attach_clause(s, s->learned_buf, learned_size, 1, lbd);
+                int ci = attach_clause(s, s->learned_buf, learned_size, 1);
                 if (ci < 0)
                     return SOLVE_MEMERR;
                 enqueue(s, s->learned_buf[0], ci);
@@ -898,26 +771,11 @@ static int core_solve(SolverCore *s, const int *assumptions, int nassump,
             if (conflicts_since_restart >= restart_limit) {
                 conflicts_since_restart = 0;
                 s->restarts++;
-                if (s->luby) {
-                    if ((luby_u & -luby_u) == luby_v) {
-                        luby_u++;
-                        luby_v = 1;
-                    } else {
-                        luby_v <<= 1;
-                    }
-                    restart_limit = (long long)s->luby_base * luby_v;
-                } else {
-                    restart_limit = (long long)((double)restart_limit * 1.5);
-                }
+                restart_limit = (long long)((double)restart_limit * 1.5);
                 if (backtrack(s, 0) < 0)
                     return SOLVE_MEMERR;
-                if (s->forget_limit > 0) {
-                    if (reduce_learned_lbd(s) < 0)
-                        return SOLVE_MEMERR;
-                } else {
-                    if (reduce_learned(s) < 0)
-                        return SOLVE_MEMERR;
-                }
+                if (reduce_learned(s) < 0)
+                    return SOLVE_MEMERR;
             }
             continue;
         }
@@ -953,23 +811,13 @@ static PyObject *SolverCore_new(PyTypeObject *type, PyObject *args, PyObject *kw
     if (self == NULL)
         return NULL;
     self->activity_increment = 1.0;
-    self->luby_base = 32;
     return (PyObject *)self;
 }
 
 static int SolverCore_init(SolverCore *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"luby", "luby_base", "forget_limit", NULL};
-    int luby = 0;
-    int luby_base = 32;
-    long long forget_limit = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|iiL", kwlist, &luby,
-                                     &luby_base, &forget_limit))
-        return -1;
-    self->luby = luby ? 1 : 0;
-    self->luby_base = luby_base;
-    self->forget_limit = forget_limit > 0 ? forget_limit : 0;
-    return 0;
+    static char *kwlist[] = {NULL};
+    return PyArg_ParseTupleAndKeywords(args, kwds, "", kwlist) ? 0 : -1;
 }
 
 static void SolverCore_dealloc(SolverCore *self)
@@ -994,7 +842,6 @@ static void SolverCore_dealloc(SolverCore *self)
     free(self->mark);
     free(self->seen);
     free(self->learned_buf);
-    free(self->level_mark);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -1122,7 +969,6 @@ LL_GETTER(decisions, decisions)
 LL_GETTER(propagations, propagations)
 LL_GETTER(restarts, restarts)
 LL_GETTER(budget_exhaustions, budget_exhaustions)
-LL_GETTER(forgotten_clauses, forgotten_clauses)
 LL_GETTER(num_learned, num_learned)
 LL_GETTER(num_vars, num_vars)
 LL_GETTER(num_clauses, num_clauses)
@@ -1140,7 +986,6 @@ static PyGetSetDef SolverCore_getset[] = {
     {"propagations", (getter)SolverCore_get_propagations, NULL, NULL, NULL},
     {"restarts", (getter)SolverCore_get_restarts, NULL, NULL, NULL},
     {"budget_exhaustions", (getter)SolverCore_get_budget_exhaustions, NULL, NULL, NULL},
-    {"forgotten_clauses", (getter)SolverCore_get_forgotten_clauses, NULL, NULL, NULL},
     {"num_learned", (getter)SolverCore_get_num_learned, NULL, NULL, NULL},
     {"num_vars", (getter)SolverCore_get_num_vars, NULL, NULL, NULL},
     {"num_clauses", (getter)SolverCore_get_num_clauses, NULL, NULL, NULL},

@@ -136,13 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
                                        "even beyond the default width limit")
     obfuscate_parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
                                   default="",
-                                  help="synthesis pass scheduler (default: the "
-                                       "REPRO_SCHEDULER env var, else 'fixed')")
+                                  help="synthesis pass scheduler (default: 'fixed')")
     obfuscate_parser.add_argument("--windowing", choices=list(WINDOWING_NAMES),
                                   default="",
                                   help="window partition strategy (windowed mode; "
-                                       "default: the REPRO_WINDOWING env var, "
-                                       "else 'greedy')")
+                                       "default: 'greedy')")
 
     table_parser = subparsers.add_parser("table1", help="reproduce Table I")
     table_parser.add_argument("--profile", type=str, default="",

@@ -45,12 +45,7 @@ from ..merge.pinassign import PinAssignment
 from ..netlist.library import CellLibrary, standard_cell_library
 from ..obs import metrics as obs_metrics
 from ..parallel import register_worker_warmup
-from ..synth.script import (
-    SCHEDULER_ENV_VAR,
-    SynthesisEffort,
-    SynthesisResult,
-    synthesize,
-)
+from ..synth.script import SynthesisEffort, SynthesisResult, synthesize
 from .engine import GAParameters, GAResult, GenerationStats, GeneticAlgorithm
 from .operators import SegmentedPermutationSpace
 
@@ -356,10 +351,7 @@ class PinAssignmentProblem:
         #: of the merged truth tables, but an adaptive schedule also depends
         #: on accumulated credit history, so its areas must never be served
         #: from (or written to) a persistent signature-keyed store.
-        effective_scheduler = (
-            scheduler or os.environ.get(SCHEDULER_ENV_VAR) or "fixed"
-        )
-        if effective_scheduler != "fixed":
+        if (scheduler or "fixed") != "fixed":
             self.disk_cache: Optional[SynthesisDiskCache] = None
         else:
             self.disk_cache = (

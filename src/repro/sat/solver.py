@@ -8,9 +8,7 @@ implements the standard modern architecture:
 * 1UIP conflict analysis with clause learning and non-chronological
   backtracking,
 * VSIDS-style activity-based decision heuristics with phase saving,
-* restarts with learned-clause database reduction — geometric by default
-  (byte-identical to the historic behaviour), reluctant-doubling (Luby)
-  opt-in via the ``restart_strategy`` knob or ``REPRO_RESTARTS``.
+* geometric restarts with size-based learned-clause database reduction.
 
 The solver works on :class:`repro.sat.cnf.Cnf` formulas with DIMACS-style
 integer literals and supports solving under assumptions.
@@ -67,60 +65,15 @@ __all__ = [
     "SolveBudget",
     "SolveBudgetExceeded",
     "solve",
-    "RESTART_ENV_VAR",
-    "RESTART_STRATEGIES",
     "BUDGET_ENV_VAR",
-    "FORGET_ENV_VAR",
-    "DEFAULT_FORGET_LIMIT",
 ]
-
-#: Environment variable selecting the default restart strategy by name.
-RESTART_ENV_VAR = "REPRO_RESTARTS"
 
 #: Environment variable supplying a default per-call solve budget spec.
 BUDGET_ENV_VAR = "REPRO_SOLVE_BUDGET"
 
-#: Environment variable enabling LBD clause forgetting ("1"/"true" for the
-#: default schedule, an integer for a custom initial database limit, unset
-#: or "0" for the transcript-identical historic behaviour).
-FORGET_ENV_VAR = "REPRO_CLAUSE_FORGET"
-
-#: Initial learned-database size that triggers the first LBD reduction.
-DEFAULT_FORGET_LIMIT = 2000
-
-#: Restart strategies accepted by :class:`SatSolver`.
-RESTART_STRATEGIES = ("geometric", "luby")
-
 _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
-
-_FORGET_OFF_WORDS = ("", "0", "false", "no", "off")
-_FORGET_ON_WORDS = ("1", "true", "yes", "on")
-
-
-def _resolve_clause_forget(value) -> int:
-    """Resolve the clause-forgetting knob to an initial DB limit (0 = off)."""
-    if value is None:
-        raw = os.environ.get(FORGET_ENV_VAR, "").strip().lower()
-        if raw in _FORGET_OFF_WORDS:
-            return 0
-        if raw in _FORGET_ON_WORDS:
-            return DEFAULT_FORGET_LIMIT
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{FORGET_ENV_VAR} must be a boolean word or an integer "
-                f"limit, got {raw!r}"
-            ) from None
-        return limit if limit > 0 else 0
-    if value is True:
-        return DEFAULT_FORGET_LIMIT
-    if value is False:
-        return 0
-    limit = int(value)
-    return limit if limit > 0 else 0
 
 
 class SolveBudgetExceeded(RuntimeError):
@@ -259,39 +212,21 @@ class SatResult:
 class SatSolver:
     """Incremental CDCL solver over a growable clause database."""
 
-    #: Conflicts per Luby unit (the reluctant-doubling sequence multiplier).
-    LUBY_BASE = 32
-
     def __init__(
         self,
         formula: Optional[Cnf] = None,
         follow: bool = False,
-        restart_strategy: Optional[str] = None,
         backend: Optional[str] = None,
-        clause_forget=None,
     ):
-        strategy = restart_strategy or os.environ.get(RESTART_ENV_VAR) or "geometric"
-        if strategy not in RESTART_STRATEGIES:
-            raise ValueError(
-                f"unknown restart strategy {strategy!r}; expected one of "
-                f"{sorted(RESTART_STRATEGIES)}"
-            )
-        self.restart_strategy = strategy
-        self._forget_limit = _resolve_clause_forget(clause_forget)
         from .. import backend as backend_mod
 
         self.backend = backend_mod.active_backend(backend)
         self._core = None
         if self.backend == "native":
-            self._core = backend_mod.native_module().SolverCore(
-                luby=1 if strategy == "luby" else 0,
-                luby_base=self.LUBY_BASE,
-                forget_limit=self._forget_limit,
-            )
+            self._core = backend_mod.native_module().SolverCore()
         self._num_vars = 0
         self._clauses: List[List[int]] = []
         self._learned_flags: List[bool] = []
-        self._clause_lbd: List[int] = []
         self._num_learned = 0
         # Problem clauses as added by the client, including units and
         # clauses simplified away at level 0 (which never reach _clauses).
@@ -320,7 +255,6 @@ class SatSolver:
         self.solve_calls = 0
         self.restarts = 0
         self.budget_exhaustions = 0
-        self.forgotten_clauses = 0
         # Budget exhaustions recorded outside the native core (fault
         # injection); added to the core's own count when mirroring.
         self._extra_budget_exhaustions = 0
@@ -347,7 +281,6 @@ class SatSolver:
         self.decisions = core.decisions
         self.propagations = core.propagations
         self.restarts = core.restarts
-        self.forgotten_clauses = core.forgotten_clauses
         self.budget_exhaustions = (
             core.budget_exhaustions + self._extra_budget_exhaustions
         )
@@ -440,13 +373,10 @@ class SatSolver:
         for clause in clauses:
             self.add_clause(clause)
 
-    def _attach_clause(
-        self, literals: List[int], learned: bool = False, lbd: int = 0
-    ) -> int:
+    def _attach_clause(self, literals: List[int], learned: bool = False) -> int:
         index = len(self._clauses)
         self._clauses.append(literals)
         self._learned_flags.append(learned)
-        self._clause_lbd.append(lbd)
         if learned:
             self._num_learned += 1
         self._watches.setdefault(literals[0], []).append(index)
@@ -523,7 +453,7 @@ class SatSolver:
     # -------------------------------------------------------------- #
     # Conflict analysis (first UIP)
     # -------------------------------------------------------------- #
-    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
+    def _analyze(self, conflict_index: int) -> Tuple[List[int], int]:
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._num_vars + 1)
         counter = 0
@@ -572,12 +502,7 @@ class SatSolver:
                     best = position
             learned[1], learned[best] = learned[best], learned[1]
             backtrack_level = self._level[abs(learned[1])]
-        lbd = 0
-        if self._forget_limit:
-            # Literal block distance: distinct decision levels among the
-            # learned literals, measured before backtracking.
-            lbd = len({self._level[abs(literal)] for literal in learned})
-        return learned, backtrack_level, lbd
+        return learned, backtrack_level
 
     def _bump_activity(self, variable: int) -> None:
         self._activity[variable] += self._activity_increment
@@ -627,95 +552,24 @@ class SatSolver:
         # skips, and they are all nulled after the rebuild below.
         kept_clauses: List[List[int]] = []
         kept_flags: List[bool] = []
-        kept_lbd: List[int] = []
         long_clauses: List[List[int]] = []
-        long_lbd: List[int] = []
         for index, clause in enumerate(self._clauses):
             if not self._learned_flags[index]:
                 kept_clauses.append(clause)
                 kept_flags.append(False)
-                kept_lbd.append(self._clause_lbd[index])
             elif len(clause) <= 4:
                 kept_clauses.append(clause)
                 kept_flags.append(True)
-                kept_lbd.append(self._clause_lbd[index])
             else:
                 long_clauses.append(clause)
-                long_lbd.append(self._clause_lbd[index])
         keep_count = int(len(long_clauses) * keep_fraction)
         if keep_count:
             kept_clauses.extend(long_clauses[-keep_count:])
             kept_flags.extend([True] * keep_count)
-            kept_lbd.extend(long_lbd[-keep_count:])
         self._clauses = kept_clauses
         self._learned_flags = kept_flags
-        self._clause_lbd = kept_lbd
         self._num_learned = sum(kept_flags)
         self._rebuild_watches_and_reasons()
-
-    def _reduce_learned_lbd(self) -> None:
-        """LBD-scored learned-clause forgetting (``REPRO_CLAUSE_FORGET``).
-
-        Glue clauses (LBD <= 2) are permanent.  Of the remaining learned
-        clauses, the half with the highest LBD is dropped (ties broken by
-        age: newer clauses survive).  The trigger limit grows geometrically
-        after every reduction attempt, so forgetting stays amortised.
-        """
-        if self._decision_level() != 0:
-            return
-        if self._num_learned < self._forget_limit:
-            return
-        candidate_lbds = [
-            self._clause_lbd[index]
-            for index in range(len(self._clauses))
-            if self._learned_flags[index] and self._clause_lbd[index] > 2
-        ]
-        if not candidate_lbds:
-            self._forget_limit += self._forget_limit // 2
-            return
-        keep_target = len(candidate_lbds) // 2
-        buckets: Dict[int, int] = {}
-        for lbd in candidate_lbds:
-            buckets[lbd] = buckets.get(lbd, 0) + 1
-        max_lbd = max(candidate_lbds)
-        # Keep whole LBD buckets from 3 upward while they fit, then fill the
-        # remainder from the threshold bucket newest-first — fully integer
-        # arithmetic, so the native twin reproduces it exactly.
-        threshold = 3
-        acc = 0
-        while threshold <= max_lbd and acc + buckets.get(threshold, 0) <= keep_target:
-            acc += buckets.get(threshold, 0)
-            threshold += 1
-        remaining = keep_target - acc
-        keep_flag = set()
-        for index in range(len(self._clauses) - 1, -1, -1):
-            if remaining <= 0:
-                break
-            if self._learned_flags[index] and self._clause_lbd[index] == threshold:
-                keep_flag.add(index)
-                remaining -= 1
-        kept_clauses: List[List[int]] = []
-        kept_flags: List[bool] = []
-        kept_lbd: List[int] = []
-        for index, clause in enumerate(self._clauses):
-            lbd = self._clause_lbd[index]
-            if (
-                not self._learned_flags[index]
-                or lbd <= 2
-                or lbd < threshold
-                or index in keep_flag
-            ):
-                kept_clauses.append(clause)
-                kept_flags.append(self._learned_flags[index])
-                kept_lbd.append(lbd)
-            else:
-                self.forgotten_clauses += 1
-        self._clauses = kept_clauses
-        self._learned_flags = kept_flags
-        self._clause_lbd = kept_lbd
-        self._num_learned = sum(kept_flags)
-        self._rebuild_watches_and_reasons()
-        self._forget_limit += self._forget_limit // 2
 
     def _rebuild_watches_and_reasons(self) -> None:
         self._watches = {}
@@ -770,12 +624,7 @@ class SatSolver:
         accumulated so far.
         """
         self.solve_calls += 1
-        stats_base = (
-            self.conflicts,
-            self.decisions,
-            self.propagations,
-            self.forgotten_clauses,
-        )
+        stats_base = (self.conflicts, self.decisions, self.propagations)
         for literal in assumptions:
             if literal == 0:
                 raise ValueError("0 is not a valid assumption literal")
@@ -799,16 +648,7 @@ class SatSolver:
         # have flagged _trivially_unsat (and one surfacing in the main loop
         # below is handled the same way).
 
-        # Geometric restarts (the byte-identical historic default) grow the
-        # limit by 1.5x after every restart; reluctant doubling (Luby) walks
-        # Knuth's (u, v) sequence 1 1 2 1 1 2 4 ... scaled by LUBY_BASE,
-        # revisiting short limits forever instead of committing to ever
-        # longer runs.
-        luby_u, luby_v = 1, 1
-        if self.restart_strategy == "luby":
-            restart_limit = self.LUBY_BASE * luby_v
-        else:
-            restart_limit = 100
+        restart_limit = 100
         conflicts_since_restart = 0
         assumption_queue = list(assumptions)
 
@@ -826,33 +666,22 @@ class SatSolver:
                     self.budget_exhaustions += 1
                     self._backtrack(0)
                     return self._unknown_result(stats_base)
-                learned, backtrack_level, lbd = self._analyze(conflict)
+                learned, backtrack_level = self._analyze(conflict)
                 self._backtrack(backtrack_level)
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None):
                         self._trivially_unsat = True
                         return self._unsat_result(stats_base)
                 else:
-                    clause_index = self._attach_clause(learned, learned=True, lbd=lbd)
+                    clause_index = self._attach_clause(learned, learned=True)
                     self._enqueue(learned[0], clause_index)
                 self._decay_activities()
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
                     self.restarts += 1
-                    if self.restart_strategy == "luby":
-                        if (luby_u & -luby_u) == luby_v:
-                            luby_u += 1
-                            luby_v = 1
-                        else:
-                            luby_v <<= 1
-                        restart_limit = self.LUBY_BASE * luby_v
-                    else:
-                        restart_limit = int(restart_limit * 1.5)
+                    restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
-                    if self._forget_limit:
-                        self._reduce_learned_lbd()
-                    else:
-                        self._reduce_learned()
+                    self._reduce_learned()
                 continue
 
             # Apply pending assumptions as decisions.
@@ -880,7 +709,7 @@ class SatSolver:
         self,
         assumptions: Sequence[int],
         budget: Optional[SolveBudget],
-        stats_base: Tuple[int, int, int, int],
+        stats_base: Tuple[int, int, int],
     ) -> SatResult:
         """Delegate the search to the compiled core (transcript-identical)."""
         max_conflicts = -1
@@ -938,7 +767,6 @@ class SatSolver:
             "num_vars": self._num_vars,
             "num_clauses": self._num_problem_clauses,
             "learned_clauses": self._num_learned,
-            "forgotten_clauses": self.forgotten_clauses,
         }
 
     def _note_solve(self, status: str, stats_base: Tuple[int, ...]) -> None:
@@ -947,10 +775,6 @@ class SatSolver:
             ("repro_solver_conflicts_total", self.conflicts - stats_base[0]),
             ("repro_solver_decisions_total", self.decisions - stats_base[1]),
             ("repro_solver_propagations_total", self.propagations - stats_base[2]),
-            (
-                "repro_solver_forgotten_clauses_total",
-                self.forgotten_clauses - stats_base[3] if len(stats_base) > 3 else 0,
-            ),
         )
         for name, delta in deltas:
             if delta:

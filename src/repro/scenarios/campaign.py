@@ -283,7 +283,9 @@ def _run_decamouflage(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict
         final_effort=params.get("final_effort", "fast"),
         jobs=task_jobs,
     )
-    oracle = PlausibleFunctionOracle.from_mapping(flow.mapping)
+    oracle = PlausibleFunctionOracle.from_mapping(
+        flow.mapping, budget=SolveBudget.from_environment()
+    )
     views = flow.assignment.apply(list(functions))
     verdicts = [bool(oracle.is_plausible(view)) for view in views]
     solver_stats = {

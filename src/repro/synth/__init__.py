@@ -3,7 +3,6 @@
 from .area import AreaReport, area_in_ge, area_report
 from .mapper import MappingError, map_to_cells
 from .script import (
-    SCHEDULER_ENV_VAR,
     SCHEDULER_NAMES,
     AdaptiveScheduler,
     FixedScheduler,
@@ -23,7 +22,6 @@ __all__ = [
     "PassScheduler",
     "FixedScheduler",
     "AdaptiveScheduler",
-    "SCHEDULER_ENV_VAR",
     "SCHEDULER_NAMES",
     "resolve_scheduler",
     "optimize_aig",

@@ -46,7 +46,6 @@ __all__ = [
     "PassScheduler",
     "FixedScheduler",
     "AdaptiveScheduler",
-    "SCHEDULER_ENV_VAR",
     "SCHEDULER_NAMES",
     "resolve_scheduler",
     "optimize_aig",
@@ -67,9 +66,6 @@ _PASS_SEQUENCES: Dict[str, List[str]] = {
         "rewrite-z", "balance", "refactor-z", "rewrite-z", "balance",
     ],
 }
-
-#: Environment variable selecting the default scheduler by name.
-SCHEDULER_ENV_VAR = "REPRO_SCHEDULER"
 
 #: Scheduler names accepted by :func:`resolve_scheduler` and ``--scheduler``.
 SCHEDULER_NAMES = ("fixed", "adaptive")
@@ -425,14 +421,13 @@ def resolve_scheduler(
     """Resolve a scheduler argument to a strategy instance.
 
     ``scheduler`` may be a :class:`PassScheduler` (returned as-is), a name
-    from :data:`SCHEDULER_NAMES`, or ``None`` — in which case the
-    ``REPRO_SCHEDULER`` environment variable is consulted and ``fixed`` is
-    the fallback.  Schedulers are plumbed through worker-pool boundaries by
-    name, so everything reachable from a campaign spec stays picklable.
+    from :data:`SCHEDULER_NAMES`, or ``None`` for ``fixed``.  Schedulers are
+    plumbed through worker-pool boundaries by name, so everything reachable
+    from a campaign spec stays picklable.
     """
     if isinstance(scheduler, PassScheduler):
         return scheduler
-    name = scheduler or os.environ.get(SCHEDULER_ENV_VAR) or "fixed"
+    name = scheduler or "fixed"
     if name == "fixed":
         return FixedScheduler(effort=effort, max_rounds=max_rounds)
     if name == "adaptive":
@@ -454,8 +449,8 @@ def optimize_aig(
     With the default ``fixed`` scheduler this reproduces the historic
     behaviour byte-for-byte: the effort-level pass sequence repeated up to
     ``max_rounds`` times with early stopping and per-pass fixed-point
-    memoisation.  Pass ``scheduler="adaptive"`` (or set ``REPRO_SCHEDULER``)
-    to let measured gain history drive pass selection instead.
+    memoisation.  Pass ``scheduler="adaptive"`` to let measured gain history
+    drive pass selection instead.
     """
     return resolve_scheduler(scheduler, effort, max_rounds).optimize(aig, trace=trace)
 

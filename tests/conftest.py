@@ -12,37 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.netlist.window import WINDOWING_ENV_VAR
-from repro.sat.solver import FORGET_ENV_VAR, RESTART_ENV_VAR
-from repro.synth.script import SCHEDULER_ENV_VAR
-
-
-@pytest.fixture(autouse=True)
-def _pin_default_strategies(monkeypatch):
-    """Pin every test to the byte-identical default strategies.
-
-    The strategy env knobs (pass scheduler, windowing policy, restart
-    schedule, clause forgetting) change traces, window decompositions, and
-    solver-count transcripts; the suite's pinned expectations assume the
-    defaults, so a developer's ambient environment must not leak in.  Tests
-    that exercise the knobs set them explicitly via monkeypatch.
-    ``REPRO_BACKEND`` is deliberately *not* pinned: both backends produce
-    identical transcripts, and CI's native leg runs this suite under
-    ``REPRO_BACKEND=native`` to prove it.
-    """
-    for variable in (
-        SCHEDULER_ENV_VAR,
-        WINDOWING_ENV_VAR,
-        RESTART_ENV_VAR,
-        FORGET_ENV_VAR,
-    ):
-        monkeypatch.delenv(variable, raising=False)
-
 from repro.camo import default_camouflage_library
 from repro.flow import obfuscate, obfuscate_with_assignment
 from repro.ga import GAParameters
 from repro.merge import merge_functions
 from repro.netlist import standard_cell_library
+from repro.sat import Cnf
 from repro.sboxes import des_sboxes, optimal_sboxes, present_sbox
 from repro.synth import synthesize
 from repro.techmap import camouflage_map
@@ -120,6 +95,24 @@ def small_obfuscation(two_sboxes):
         fitness_effort="fast",
         final_effort="fast",
     )
+
+
+@pytest.fixture(scope="session")
+def pigeonhole():
+    """Factory for PHP(p, h): unsatisfiable for p > h, conflict-heavy."""
+
+    def _make(pigeons, holes):
+        cnf = Cnf(pigeons * holes)
+        var = lambda pigeon, hole: pigeon * holes + hole + 1
+        for pigeon in range(pigeons):
+            cnf.add_clause([var(pigeon, hole) for hole in range(holes)])
+        for hole in range(holes):
+            for one in range(pigeons):
+                for two in range(one + 1, pigeons):
+                    cnf.add_clause([-var(one, hole), -var(two, hole)])
+        return cnf
+
+    return _make
 
 
 @pytest.fixture

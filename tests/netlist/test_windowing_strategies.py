@@ -15,7 +15,6 @@ from repro.netlist.blif import read_blif
 from repro.netlist.window import (
     LevelizedGreedy,
     MinCutSeeded,
-    WINDOWING_ENV_VAR,
     WindowError,
     extract_windows,
     resolve_windowing,
@@ -136,8 +135,10 @@ class TestResolution:
         assert resolve_windowing(strategy) is strategy
 
     def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(WINDOWING_ENV_VAR, "hardness")
-        assert isinstance(resolve_windowing(None), MinCutSeeded)
+        # Only the argument (--windowing) picks a strategy; a stale
+        # REPRO_WINDOWING in the environment is not read.
+        monkeypatch.setenv("REPRO_WINDOWING", "hardness")
+        assert isinstance(resolve_windowing(None), LevelizedGreedy)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(WindowError):

@@ -15,19 +15,6 @@ from repro.sat import (
 )
 
 
-def pigeonhole(pigeons, holes):
-    """PHP(p, h): unsatisfiable for p > h and conflict-heavy to refute."""
-    cnf = Cnf(pigeons * holes)
-    var = lambda pigeon, hole: pigeon * holes + hole + 1
-    for pigeon in range(pigeons):
-        cnf.add_clause([var(pigeon, hole) for hole in range(holes)])
-    for hole in range(holes):
-        for one in range(pigeons):
-            for two in range(one + 1, pigeons):
-                cnf.add_clause([-var(one, hole), -var(two, hole)])
-    return cnf
-
-
 class TestSolveBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -65,32 +52,32 @@ class TestSolveBudget:
 
 
 class TestBudgetedSolve:
-    def test_conflict_budget_yields_unknown(self):
+    def test_conflict_budget_yields_unknown(self, pigeonhole):
         cnf = pigeonhole(5, 4)
         result = solve(cnf, budget=SolveBudget(max_conflicts=1))
         assert result.status == "unknown"
         assert result.unknown
         assert not result.satisfiable  # two-valued view stays conservative
 
-    def test_unbudgeted_solve_completes(self):
+    def test_unbudgeted_solve_completes(self, pigeonhole):
         result = solve(pigeonhole(5, 4))
         assert result.status == "unsat"
         assert not result.unknown
 
-    def test_propagation_budget(self):
+    def test_propagation_budget(self, pigeonhole):
         result = solve(pigeonhole(5, 4), budget=SolveBudget(max_propagations=1))
         assert result.unknown
 
-    def test_wall_clock_budget(self):
+    def test_wall_clock_budget(self, pigeonhole):
         # A microscopic deadline must trip on the first conflict check.
         result = solve(pigeonhole(6, 5), budget=SolveBudget(max_seconds=1e-9))
         assert result.unknown
 
-    def test_generous_budget_reaches_verdict(self):
+    def test_generous_budget_reaches_verdict(self, pigeonhole):
         result = solve(pigeonhole(4, 3), budget=SolveBudget(max_conflicts=10 ** 6))
         assert result.status == "unsat"
 
-    def test_budget_is_per_call_and_solver_stays_usable(self):
+    def test_budget_is_per_call_and_solver_stays_usable(self, pigeonhole):
         solver = SatSolver(pigeonhole(5, 4))
         assert solver.solve(budget=SolveBudget(max_conflicts=1)).unknown
         assert solver.budget_exhaustions == 1
@@ -98,7 +85,7 @@ class TestBudgetedSolve:
         assert solver.solve().status == "unsat"
         assert solver.stats()["budget_exhaustions"] == 1
 
-    def test_budget_none_transcript_identical(self):
+    def test_budget_none_transcript_identical(self, pigeonhole):
         # The budget machinery must be invisible when no budget is given:
         # same verdict, same per-call statistics.
         budgeted = SatSolver(pigeonhole(4, 3))

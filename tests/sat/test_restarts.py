@@ -1,72 +1,69 @@
-"""Tests for the restart-strategy knob (geometric default, Luby opt-in)."""
+"""Tests for the CDCL restart schedule (geometric: the limit grows 1.5x)."""
 
 import random
 
 import pytest
 
-from repro.sat import RESTART_ENV_VAR, RESTART_STRATEGIES, SatSolver
+from repro.sat import SatSolver
 from repro.sat.solver import SatResult
 
 
-def _hard_random_formula(solver, seed=9, num_vars=30, num_clauses=128):
+def _hard_random_formula(solver, seed=9, num_vars=30, num_clauses=128, reverse=False):
     rng = random.Random(seed)
-    solver.reserve_vars(num_vars)
+    clauses = []
     for _ in range(num_clauses):
         variables = rng.sample(range(1, num_vars + 1), 3)
-        solver.add_clause(
-            [v if rng.random() < 0.5 else -v for v in variables]
-        )
+        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+    solver.reserve_vars(num_vars)
+    for clause in reversed(clauses) if reverse else clauses:
+        solver.add_clause(clause)
+    return clauses
 
 
 class TestRestartStrategies:
-    def test_names_exported(self):
-        assert set(RESTART_STRATEGIES) == {"geometric", "luby"}
-
-    def test_default_is_geometric(self):
-        assert SatSolver().restart_strategy == "geometric"
-
-    def test_env_var_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv(RESTART_ENV_VAR, "luby")
-        assert SatSolver().restart_strategy == "luby"
-        # An explicit argument beats the environment.
-        assert (
-            SatSolver(restart_strategy="geometric").restart_strategy
-            == "geometric"
-        )
+    def test_default_is_geometric(self, pigeonhole):
+        solver = SatSolver(pigeonhole(7, 6))
+        assert solver.solve().status == "unsat"
+        # The refuting conflict ends the call before the restart check, so
+        # only the conflicts before it can trigger a restart.
+        restarts, limit, boundary = 0, 100, 100
+        while boundary <= solver.conflicts - 1:
+            restarts += 1
+            limit = int(limit * 1.5)
+            boundary += limit
+        assert restarts >= 2
+        assert solver.restarts == restarts
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            SatSolver(restart_strategy="fibonacci")
+        # One search policy: the solver takes no restart or forgetting knob.
+        with pytest.raises(TypeError):
+            SatSolver(restart_strategy="luby")
+        with pytest.raises(TypeError):
+            SatSolver(clause_forget=True)
 
-    @pytest.mark.parametrize("strategy", ["geometric", "luby"])
-    def test_verdicts_agree_on_random_formulas(self, strategy):
+    def test_verdicts_agree_on_random_formulas(self):
+        # Feeding the clauses in reverse order sends the search down another
+        # path; both runs must reach the same verdict, and SAT models must
+        # satisfy every clause.
         for seed in range(6):
-            reference = SatSolver()
-            _hard_random_formula(reference, seed=seed)
-            expected = reference.solve().satisfiable
-
-            solver = SatSolver(restart_strategy=strategy)
-            _hard_random_formula(solver, seed=seed)
-            result = solver.solve()
-            assert isinstance(result, SatResult)
-            assert result.satisfiable == expected
+            forward = SatSolver()
+            clauses = _hard_random_formula(forward, seed=seed)
+            backward = SatSolver()
+            _hard_random_formula(backward, seed=seed, reverse=True)
+            results = [forward.solve(), backward.solve()]
+            assert all(isinstance(result, SatResult) for result in results)
+            assert results[0].satisfiable == results[1].satisfiable
+            for result in results:
+                if result.satisfiable:
+                    assert all(
+                        any(result.model.get(abs(lit)) == (lit > 0) for lit in clause)
+                        for clause in clauses
+                    )
 
     def test_restart_counter_in_stats(self):
-        solver = SatSolver(restart_strategy="luby")
+        solver = SatSolver()
         _hard_random_formula(solver, seed=3, num_vars=40, num_clauses=180)
         solver.solve()
         stats = solver.stats()
         assert stats["restarts"] == solver.restarts
         assert solver.restarts >= 0
-
-    def test_luby_schedule_is_reluctant_doubling(self):
-        # The (u, v) recurrence from Knuth: v walks 1 1 2 1 1 2 4 ...
-        u, v = 1, 1
-        sequence = []
-        for _ in range(15):
-            sequence.append(v)
-            if (u & -u) == v:
-                u, v = u + 1, 1
-            else:
-                v <<= 1
-        assert sequence == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]

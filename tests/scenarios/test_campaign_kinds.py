@@ -9,6 +9,7 @@ from repro.scenarios.campaign import (
     JOB_KINDS,
     CampaignError,
     CampaignSpec,
+    _execute_job_task,
     run_campaign,
     run_windowed_campaign,
     window_record_from_payload,
@@ -44,6 +45,17 @@ class TestAdversaryJobKinds:
         # The design's whole point: every viable function stays plausible.
         assert payload["all_plausible"] is True
         assert payload["prefilter"]["queries"] == 2
+
+    def test_decamouflage_job_honours_solve_budget(self):
+        # The plausibility oracle must run under the attempt's solve budget,
+        # so a job over budget fails (and the runner marks it timed_out)
+        # instead of completing "ok" on unbounded solves.
+        spec = CampaignSpec.adversary(
+            [("PRESENT", 2)], population=4, generations=1, random_camo=False
+        )
+        result = _execute_job_task((spec.jobs[0], 1, True, "conflicts=1"))
+        assert result.status == "error"
+        assert result.error.startswith("SolveBudgetExceeded")
 
     def test_random_camo_job_runs(self):
         spec = CampaignSpec.adversary(
