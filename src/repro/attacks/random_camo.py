@@ -24,6 +24,7 @@ from ..logic.boolfunc import BoolFunction
 from ..logic.truthtable import TruthTable
 from ..netlist.library import CellLibrary
 from ..netlist.netlist import Netlist
+from ..sat.solver import SolveBudget
 from .decamouflage import DecamouflageResult, PlausibleFunctionOracle
 
 __all__ = ["RandomCamouflageResult", "randomly_camouflage", "RandomCamouflagedCircuit"]
@@ -39,17 +40,23 @@ class RandomCamouflagedCircuit:
     #: The true (nominal) configuration of every camouflaged instance.
     true_configuration: Dict[str, TruthTable] = field(default_factory=dict)
 
-    def oracle(self) -> PlausibleFunctionOracle:
-        """Build the adversary's plausibility oracle for this circuit."""
+    def oracle(self, budget: Optional[SolveBudget] = None) -> PlausibleFunctionOracle:
+        """Build the adversary's plausibility oracle for this circuit.
+
+        ``budget`` bounds every solve; a query that exhausts it raises
+        :class:`~repro.sat.solver.SolveBudgetExceeded`.
+        """
         plausible = {
             name: list(self.camo_library[self.netlist.instance(name).cell].plausible)
             for name in self.camouflaged_instances
         }
-        return PlausibleFunctionOracle(self.netlist, plausible)
+        return PlausibleFunctionOracle(self.netlist, plausible, budget=budget)
 
-    def is_plausible(self, candidate: BoolFunction) -> DecamouflageResult:
+    def is_plausible(
+        self, candidate: BoolFunction, budget: Optional[SolveBudget] = None
+    ) -> DecamouflageResult:
         """Adversary query: can this circuit implement ``candidate``?"""
-        return self.oracle().is_plausible(candidate)
+        return self.oracle(budget).is_plausible(candidate)
 
     def area(self) -> float:
         """Netlist area in gate equivalents."""
@@ -131,8 +138,9 @@ def random_camouflage_experiment(
     fraction: float = 0.5,
     seed: int = 1,
     camo_library: Optional[CamouflageLibrary] = None,
+    budget: Optional[SolveBudget] = None,
 ) -> RandomCamouflageResult:
     """Camouflage randomly and ask the adversary about every candidate."""
     circuit = randomly_camouflage(netlist, fraction=fraction, seed=seed, camo_library=camo_library)
-    flags = [bool(circuit.is_plausible(candidate)) for candidate in candidates]
+    flags = [bool(circuit.is_plausible(candidate, budget)) for candidate in candidates]
     return RandomCamouflageResult(circuit=circuit, plausible=flags)

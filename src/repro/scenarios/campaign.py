@@ -327,6 +327,7 @@ def _run_random_camo(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]
         functions,
         fraction=float(params.get("fraction", 0.5)),
         seed=int(params.get("seed", 1)),
+        budget=SolveBudget.from_environment(),
     )
     payload = {
         "num_plausible": experiment.num_plausible,

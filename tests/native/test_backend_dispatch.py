@@ -7,11 +7,13 @@ case, so both sides of the dispatch are covered from one environment.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import _native, backend
+from repro.cli import main
 from repro.sat.solver import SatSolver
-from repro.sim.engine import NetlistSimulator
 
 
 class TestActiveBackend:
@@ -82,13 +84,13 @@ class TestBackendReport:
         assert "boom: missing .so" in report["fallback_reason"]
 
 
-class TestSimulatorDispatch:
-    def test_simulator_reports_backend(self, make_random_netlist, monkeypatch):
+class TestDoctorCommand:
+    def test_check_reports_identical_transcripts(self, capsys, monkeypatch):
         monkeypatch.delenv(backend.BACKEND_ENV_VAR, raising=False)
-        netlist = make_random_netlist(3, num_inputs=3, num_outputs=1, num_cells=6)
-        simulator = NetlistSimulator(netlist)
-        assert simulator.backend == "native"
-        assert simulator._program is not None
-        pure_simulator = NetlistSimulator(netlist, backend="pure")
-        assert pure_simulator.backend == "pure"
-        assert pure_simulator._program is None
+        assert main(["doctor", "--json", "--check"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["active"] == "native"
+        assert report["check"] == {
+            "status": "OK",
+            "detail": "solver transcripts identical",
+        }

@@ -57,6 +57,16 @@ class TestAdversaryJobKinds:
         assert result.status == "error"
         assert result.error.startswith("SolveBudgetExceeded")
 
+    def test_random_camo_job_honours_solve_budget(self):
+        # Same contract for the random-camouflage baseline: its plausibility
+        # oracle runs under the attempt's solve budget.
+        spec = CampaignSpec.adversary(
+            [("PRESENT", 2)], decamouflage=False, fraction=0.5, seed=3
+        )
+        result = _execute_job_task((spec.jobs[0], 1, True, "conflicts=1"))
+        assert result.status == "error"
+        assert result.error.startswith("SolveBudgetExceeded")
+
     def test_random_camo_job_runs(self):
         spec = CampaignSpec.adversary(
             [("PRESENT", 2)], decamouflage=False, fraction=0.5, seed=3

@@ -10,11 +10,12 @@ import random
 
 import pytest
 
+from repro.aig import aig_from_netlist
 from repro.attacks import PlausibleFunctionOracle
 from repro.logic import BoolFunction, TruthTable
 from repro.netlist import Netlist, simulate_assignment, standard_cell_library
 from repro.sat import check_netlist_function
-from repro.sim import NetlistSimulator, PatternBatch
+from repro.sim import AigSimulator, NetlistSimulator, PatternBatch
 
 
 def random_netlist(rng, library, num_inputs=4, num_instances=12, name="rand"):
@@ -32,42 +33,100 @@ def random_netlist(rng, library, num_inputs=4, num_instances=12, name="rand"):
     return netlist
 
 
+def batches_for(rng, num_inputs):
+    """Exhaustive plus random batches of 1-400 patterns.
+
+    The fixed sizes cover one pattern, exactly one 64-bit word, one past a
+    word boundary and a batch ending mid-way through its third word.
+    """
+    batches = [PatternBatch.exhaustive(num_inputs)]
+    for count in (1, 64, 65, 130, rng.randint(1, 400)):
+        batches.append(
+            PatternBatch.random(num_inputs, count, seed=rng.randint(0, 10**6))
+        )
+    return batches
+
+
+def assert_lanes_match_rowwise(netlist, batch, lanes, cell_functions=None):
+    """Every output lane agrees with ``simulate_assignment`` pattern by pattern."""
+    for lane in lanes:
+        assert lane >> batch.num_patterns == 0, "lane set bits past the batch"
+    for position, word in enumerate(batch.words()):
+        assignment = {
+            net: (word >> index) & 1
+            for index, net in enumerate(netlist.primary_inputs)
+        }
+        values = simulate_assignment(
+            netlist, assignment, cell_functions=cell_functions
+        )
+        for out_index, net in enumerate(netlist.primary_outputs):
+            assert (lanes[out_index] >> position) & 1 == values[net], (
+                f"mismatch at pattern {position} (word {word}), output {net}"
+            )
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_packed_engine_matches_rowwise_reference(seed, library):
     rng = random.Random(seed)
-    netlist = random_netlist(rng, library, num_inputs=4, num_instances=15)
-    simulator = NetlistSimulator(netlist)
-    batch = PatternBatch.exhaustive(4)
-    lanes = simulator.output_lanes(batch)
-    for word in range(16):
-        assignment = {f"i{k}": (word >> k) & 1 for k in range(4)}
-        values = simulate_assignment(netlist, assignment)
-        for out_index, net in enumerate(netlist.primary_outputs):
-            assert (lanes[out_index] >> word) & 1 == values[net], (
-                f"mismatch at word {word}, output {net} (seed {seed})"
+    for num_inputs in (4, 4 + seed):
+        netlist = random_netlist(
+            rng, library, num_inputs=num_inputs, num_instances=15 + 3 * num_inputs
+        )
+        simulator = NetlistSimulator(netlist)
+        for batch in batches_for(rng, num_inputs):
+            assert_lanes_match_rowwise(
+                netlist, batch, simulator.output_lanes(batch)
             )
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_packed_engine_matches_rowwise_with_overrides(seed, library):
     rng = random.Random(seed)
-    netlist = random_netlist(rng, library, num_inputs=3, num_instances=10)
-    # Override a random subset of instances with random same-arity tables.
-    overrides = {}
-    for instance in netlist.instances:
-        if rng.random() < 0.4:
-            arity = len(instance.inputs)
-            overrides[instance.name] = TruthTable(arity, rng.getrandbits(1 << arity))
-    simulator = NetlistSimulator(netlist)
-    words = [rng.getrandbits(3) for _ in range(20)]
-    packed = simulator.simulate_words(words, overrides)
-    for word, output in zip(words, packed):
-        assignment = {f"i{k}": (word >> k) & 1 for k in range(3)}
-        values = simulate_assignment(netlist, assignment, cell_functions=overrides)
-        expected = 0
-        for out_index, net in enumerate(netlist.primary_outputs):
-            expected |= values[net] << out_index
-        assert output == expected
+    for num_inputs in (3, seed - 4):
+        netlist = random_netlist(
+            rng, library, num_inputs=num_inputs, num_instances=10 + 3 * num_inputs
+        )
+        # Override a random subset of instances with random same-arity tables.
+        overrides = {}
+        for instance in netlist.instances:
+            if rng.random() < 0.4:
+                arity = len(instance.inputs)
+                overrides[instance.name] = TruthTable(
+                    arity, rng.getrandbits(1 << arity)
+                )
+        simulator = NetlistSimulator(netlist)
+        words = [rng.getrandbits(num_inputs) for _ in range(rng.randint(1, 400))]
+        packed = simulator.simulate_words(words, overrides)
+        assert len(packed) == len(words)
+        for word, output in zip(words, packed):
+            assignment = {f"i{k}": (word >> k) & 1 for k in range(num_inputs)}
+            values = simulate_assignment(
+                netlist, assignment, cell_functions=overrides
+            )
+            expected = 0
+            for out_index, net in enumerate(netlist.primary_outputs):
+                expected |= values[net] << out_index
+            assert output == expected
+        for batch in batches_for(rng, num_inputs):
+            assert_lanes_match_rowwise(
+                netlist, batch, simulator.output_lanes(batch, overrides), overrides
+            )
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_aig_engine_matches_rowwise_reference(seed, library):
+    rng = random.Random(seed)
+    num_inputs = seed - 24
+    netlist = random_netlist(
+        rng, library, num_inputs=num_inputs, num_instances=15 + 3 * num_inputs
+    )
+    simulator = AigSimulator(aig_from_netlist(netlist))
+    for batch in batches_for(rng, num_inputs):
+        assert_lanes_match_rowwise(netlist, batch, simulator.output_lanes(batch))
+    words = [rng.getrandbits(num_inputs) for _ in range(rng.randint(1, 400))]
+    assert simulator.simulate_words(words) == NetlistSimulator(
+        netlist
+    ).simulate_words(words)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])

@@ -120,6 +120,19 @@ class TestCommands:
             main(["campaign", "--workload", "RANDOM:0"])
         assert "count must be at least 1" in str(info.value)
 
+    def test_doctor_json(self, capsys, monkeypatch):
+        import json
+
+        from repro.backend import BACKEND_ENV_VAR, native_module
+
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert main(["doctor", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        built = native_module() is not None
+        assert report["native_available"] is built
+        assert report["active"] == ("native" if built else "pure")
+        assert "check" not in report
+
     def test_campaign_list_workloads(self, capsys):
         assert main(["campaign", "--list-workloads"]) == 0
         captured = capsys.readouterr()
