@@ -94,8 +94,8 @@ def diff_payloads(
     base_numbers = _numeric_items(baseline)
     cand_numbers = _numeric_items(candidate)
     all_keys = sorted(set(base_numbers) | set(cand_numbers))
-    # Telemetry counters (the unified RunTelemetry scopes every layer now
-    # emits) get their own section: they diff the *work done* — solver
+    # Telemetry counters (the RunTelemetry scopes persisted in the BENCH
+    # payloads) get their own section: they diff the *work done* — solver
     # conflicts, synthesis passes, attack queries — next to the timings,
     # but never fail the diff on their own.
     plain_keys = [key for key in all_keys if not key.startswith("telemetry.")]

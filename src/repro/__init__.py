@@ -20,8 +20,9 @@ The package is organised as a small EDA flow:
   S-box workloads;
 * :mod:`repro.scenarios` -- the workload registry (pluggable families) and
   the resumable campaign runner;
-* :mod:`repro.telemetry` -- the unified run-telemetry record every layer's
-  counters flow into (and the strategy layers read back from);
+* :mod:`repro.telemetry` -- the run-telemetry record that persists and
+  merges layer counters (campaign payloads, ``BENCH_*.json``, ``/metrics``)
+  and that the strategy layers read back from;
 * :mod:`repro.flow`, :mod:`repro.evaluation` -- the end-to-end obfuscation flow
   and the Table I / Figure 4 experiment harnesses.
 """

@@ -4,7 +4,6 @@ from .decamouflage import (
     DecamouflageResult,
     PlausibleFunctionOracle,
     is_function_plausible,
-    plausible_viable_functions,
 )
 from .oracle_guided import OracleGuidedAttack, OracleGuidedResult, attack_mapping
 from .plausibility import PlausibilityReport, verify_viable_functions
@@ -24,7 +23,6 @@ __all__ = [
     "DecamouflageResult",
     "PlausibleFunctionOracle",
     "is_function_plausible",
-    "plausible_viable_functions",
     "RandomCamouflagedCircuit",
     "RandomCamouflageResult",
     "randomly_camouflage",

@@ -64,7 +64,6 @@ __all__ = [
     "DecamouflageResult",
     "PlausibleFunctionOracle",
     "is_function_plausible",
-    "plausible_viable_functions",
 ]
 
 
@@ -401,15 +400,12 @@ class PlausibleFunctionOracle:
         return dict(self._prefilter_counters)
 
     def telemetry(self, label: str = "") -> "RunTelemetry":
-        """Solver and pre-filter counters as one unified telemetry record."""
+        """Solver and pre-filter counters as one persisted telemetry record."""
         from ..telemetry import RunTelemetry
 
-        record = RunTelemetry.from_prefilter_stats(
-            self.prefilter_stats(), label=label
-        )
-        return record.merged(
-            RunTelemetry.from_solver_stats(self.solver_stats()), label=label
-        )
+        record = RunTelemetry(label=label)
+        record.absorb("prefilter", self.prefilter_stats())
+        return record.absorb("solver", self.solver_stats())
 
 
 def is_function_plausible(
@@ -421,21 +417,3 @@ def is_function_plausible(
     oracle = PlausibleFunctionOracle.from_mapping(mapping, prefilter=prefilter)
     return oracle.is_plausible(candidate)
 
-
-def plausible_viable_functions(
-    mapping: CamouflagedMapping,
-    viable_functions: Sequence[BoolFunction],
-    assignment_views: Optional[Sequence[BoolFunction]] = None,
-    prefilter: Optional[bool] = None,
-) -> List[bool]:
-    """Evaluate the adversary's checklist: which viable functions are plausible?
-
-    ``assignment_views`` optionally provides the pin-permuted view of each
-    viable function (what the designer actually embedded); when omitted the
-    functions are checked under the identity interpretation.  Every check
-    reuses the same persistent solver (and, with ``prefilter``, the same
-    packed simulator).
-    """
-    oracle = PlausibleFunctionOracle.from_mapping(mapping, prefilter=prefilter)
-    views = assignment_views if assignment_views is not None else viable_functions
-    return [bool(oracle.is_plausible(view)) for view in views]

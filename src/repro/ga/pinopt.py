@@ -532,23 +532,6 @@ class PinOptimizationResult:
         """Number of distinct genotypes the GA evaluated."""
         return self.ga_result.evaluations
 
-    def telemetry(self, label: str = "") -> "RunTelemetry":
-        """The Phase II run as a unified telemetry record.
-
-        ``cache`` scope carries the fitness-cache counters, ``ga`` the
-        generation/evaluation summary of the search itself.
-        """
-        from ..telemetry import RunTelemetry
-
-        record = RunTelemetry.from_cache_stats(self.cache_stats, label=label)
-        return record.merged(
-            RunTelemetry.from_ga_history(
-                self.history,
-                stopped_early=getattr(self.ga_result, "stopped_early", False),
-            ),
-            label=label,
-        )
-
 
 def optimize_pin_assignment(
     functions: Sequence[BoolFunction],

@@ -34,9 +34,9 @@ of thundering in lockstep.  :func:`classify_failure` separates transient
 failures (crashed workers, exhausted solve budgets, I/O hiccups — worth
 retrying) from permanent ones (bad parameters — retrying cannot help).
 
-Environment knobs: ``REPRO_LEASE_TTL`` (seconds, default 60),
-``REPRO_RETRY_ATTEMPTS`` (default 3), ``REPRO_RETRY_BASE_DELAY`` (seconds,
-default 0.1), ``REPRO_RETRY_MAX_DELAY`` (seconds, default 30).  The
+Environment knobs: ``REPRO_LEASE_TTL`` (seconds, default 60) and
+``REPRO_RETRY_ATTEMPTS`` (default 3).  The backoff delays are
+:class:`RetryPolicy` fields (defaults 0.1 s base, 30 s cap).  The
 ``clock_skew`` fault point (see :mod:`repro.faults`) shifts this module's
 clock for chaos tests.
 """
@@ -64,8 +64,6 @@ __all__ = [
     "LEASE_TTL_ENV_VAR",
     "DEFAULT_LEASE_TTL",
     "RETRY_ATTEMPTS_ENV_VAR",
-    "RETRY_BASE_DELAY_ENV_VAR",
-    "RETRY_MAX_DELAY_ENV_VAR",
 ]
 
 #: Environment variable overriding the default lease time-to-live (seconds).
@@ -76,8 +74,6 @@ LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL"
 DEFAULT_LEASE_TTL = 60.0
 
 RETRY_ATTEMPTS_ENV_VAR = "REPRO_RETRY_ATTEMPTS"
-RETRY_BASE_DELAY_ENV_VAR = "REPRO_RETRY_BASE_DELAY"
-RETRY_MAX_DELAY_ENV_VAR = "REPRO_RETRY_MAX_DELAY"
 
 
 class LeaseLost(RuntimeError):
@@ -135,11 +131,7 @@ class RetryPolicy:
 
     @classmethod
     def from_environment(cls) -> "RetryPolicy":
-        return cls(
-            max_attempts=max(1, _int_env(RETRY_ATTEMPTS_ENV_VAR, 3)),
-            base_delay=_float_env(RETRY_BASE_DELAY_ENV_VAR, 0.1),
-            max_delay=_float_env(RETRY_MAX_DELAY_ENV_VAR, 30.0),
-        )
+        return cls(max_attempts=max(1, _int_env(RETRY_ATTEMPTS_ENV_VAR, 3)))
 
     def should_retry(self, attempt: int) -> bool:
         """May a job that has failed ``attempt`` times run again?"""

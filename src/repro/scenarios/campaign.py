@@ -240,6 +240,7 @@ def _run_attack(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
             f"oracle-guided attack exhausted its solve budget after "
             f"{outcome.num_queries} DIP queries"
         )
+    telemetry = RunTelemetry(label="attack").absorb("solver", outcome.solver_stats)
     payload = {
         "success": outcome.success,
         "dip_queries": outcome.num_queries,
@@ -250,9 +251,7 @@ def _run_attack(params: Dict[str, Any], task_jobs: int) -> Tuple[Any, dict]:
         "solver": {
             key: int(value) for key, value in outcome.solver_stats.items()
         },
-        "telemetry": RunTelemetry.from_solver_stats(
-            outcome.solver_stats, label="attack"
-        ).to_dict(),
+        "telemetry": telemetry.to_dict(),
     }
     return outcome, payload
 
@@ -1077,6 +1076,29 @@ def _execute_job_task(task: Tuple) -> JobResult:
                         os.environ[BUDGET_ENV_VAR] = previous_budget
 
 
+def attempt_budget_spec(budget: Optional[SolveBudget], prior_failures: int) -> str:
+    """Solve-budget spec for a job's next attempt (doubled per prior failure).
+
+    The one attempt policy of local runners and the campaign service.
+    """
+    if budget is None:
+        return ""
+    if prior_failures <= 0:
+        return budget.to_spec()
+    return budget.scaled(2.0 ** prior_failures).to_spec()
+
+
+def is_budget_timeout(error: str, exception: Optional[BaseException] = None) -> bool:
+    """Did a failed attempt end on an exhausted solve budget ("timed_out")?
+
+    ``error`` is the ``"<ExceptionType>: message"`` text a job result
+    carries; ``exception`` is the exception itself when it survived.
+    """
+    if isinstance(exception, SolveBudgetExceeded):
+        return True
+    return error.split(":", 1)[0].strip() == "SolveBudgetExceeded"
+
+
 class _LeaseKeeper:
     """Background heartbeat for the leases a runner currently holds.
 
@@ -1323,21 +1345,6 @@ class CampaignRunner:
     # -------------------------------------------------------------- #
     # Execution
     # -------------------------------------------------------------- #
-    def _attempt_budget_spec(self, prior_failures: int) -> str:
-        """Solve-budget spec for the next attempt (doubled per failure)."""
-        if self._solve_budget is None:
-            return ""
-        if prior_failures <= 0:
-            return self._solve_budget.to_spec()
-        return self._solve_budget.scaled(2.0 ** prior_failures).to_spec()
-
-    @staticmethod
-    def _is_timeout(result: JobResult) -> bool:
-        """Did this error result come from an exhausted solve budget?"""
-        if isinstance(result.exception, SolveBudgetExceeded):
-            return True
-        return result.error.split(":", 1)[0].strip() == "SolveBudgetExceeded"
-
     def run(
         self, limit: Optional[int] = None, fail_fast: bool = False
     ) -> CampaignResult:
@@ -1497,7 +1504,9 @@ class CampaignRunner:
                     job,
                     task_jobs,
                     capture_errors,
-                    self._attempt_budget_spec(failures.get(job.job_id, 0)),
+                    attempt_budget_spec(
+                        self._solve_budget, failures.get(job.job_id, 0)
+                    ),
                     self._job_traceparent(job.job_id),
                 )
                 for job in runnable
@@ -1631,7 +1640,7 @@ class CampaignRunner:
                     continue
                 result.attempts = attempt
                 result.owner = store.owner if store is not None else ""
-                if self._is_timeout(result):
+                if is_budget_timeout(result.error, result.exception):
                     result.status = "timed_out"
                     bump("timed_out")
                 slots[job.job_id] = result

@@ -67,6 +67,8 @@ from ..scenarios.campaign import (
     CampaignRunner,
     CampaignSpec,
     JobResult,
+    attempt_budget_spec,
+    is_budget_timeout,
 )
 from .protocol import (
     DEFAULT_POLL_SECONDS,
@@ -255,16 +257,6 @@ class CampaignHandle:
             self._stores[worker] = store
         return store
 
-    def _budget_spec(self, prior_failures: int) -> str:
-        """Per-attempt solve budget, doubled per prior failure (mirrors
-        :meth:`CampaignRunner._attempt_budget_spec` so service retries
-        escalate exactly like local ones)."""
-        if self._solve_budget is None:
-            return ""
-        if prior_failures <= 0:
-            return self._solve_budget.to_spec()
-        return self._solve_budget.scaled(2.0 ** prior_failures).to_spec()
-
     # -------------------------------------------------------------- #
     # Worker protocol
     # -------------------------------------------------------------- #
@@ -311,7 +303,7 @@ class CampaignHandle:
                 },
                 "attempt": prior + 1,
                 "lease_ttl": store.lease_ttl,
-                "budget": self._budget_spec(prior),
+                "budget": attempt_budget_spec(self._solve_budget, prior),
                 "traceparent": self._job_traceparent(job_id),
             }
         if self.complete():
@@ -425,11 +417,7 @@ class CampaignHandle:
                         error=error,
                     )
             return {"retry": True, "delay": delay, "attempt": attempt}
-        status = (
-            "timed_out"
-            if error.split(":", 1)[0].strip() == "SolveBudgetExceeded"
-            else "error"
-        )
+        status = "timed_out" if is_budget_timeout(error) else "error"
         if status == "timed_out":
             self.bump("timed_out")
         self._terminal[job_id] = {

@@ -10,7 +10,6 @@ from .script import (
     SynthesisEffort,
     SynthesisResult,
     optimize_aig,
-    reset_synthesis_telemetry,
     resolve_scheduler,
     synthesis_telemetry,
     synthesize,
@@ -27,7 +26,6 @@ __all__ = [
     "optimize_aig",
     "synthesize",
     "synthesis_telemetry",
-    "reset_synthesis_telemetry",
     "map_to_cells",
     "MappingError",
     "AreaReport",

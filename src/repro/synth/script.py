@@ -51,7 +51,6 @@ __all__ = [
     "optimize_aig",
     "synthesize",
     "synthesis_telemetry",
-    "reset_synthesis_telemetry",
 ]
 
 #: Named pass sequences, in increasing effort/runtime order.
@@ -108,12 +107,6 @@ def synthesis_telemetry() -> RunTelemetry:
     return _TELEMETRY
 
 
-def reset_synthesis_telemetry() -> RunTelemetry:
-    """Reset and return the module telemetry (tests and benchmark legs)."""
-    _TELEMETRY.scopes.clear()
-    return _TELEMETRY
-
-
 @dataclass
 class SynthesisResult:
     """Everything produced by a synthesis run."""
@@ -123,7 +116,6 @@ class SynthesisResult:
     area: float
     and_count: int
     pass_trace: List[Tuple[str, int]] = field(default_factory=list)
-    telemetry: Optional[RunTelemetry] = None
 
     @property
     def pass_gains(self) -> List[Tuple[str, int]]:
@@ -475,15 +467,10 @@ def synthesize(
     netlist = map_to_cells(optimized, library, name=name or function.name)
     obs_metrics.counter("repro_synth_runs_total", effort=str(effort))
     obs_metrics.observe("repro_synth_seconds", time.monotonic() - began)
-    telemetry = RunTelemetry(label="synthesize")
-    telemetry.record("synth", "passes_scheduled", max(len(trace) - 1, 0))
-    telemetry.record("synth", "and_initial", initial.num_ands)
-    telemetry.record("synth", "and_final", optimized.num_ands)
     return SynthesisResult(
         aig=optimized,
         netlist=netlist,
         area=netlist.area(),
         and_count=optimized.num_ands,
         pass_trace=trace,
-        telemetry=telemetry,
     )

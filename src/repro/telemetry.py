@@ -1,32 +1,29 @@
-"""Unified run telemetry: one mergeable record behind every stats surface.
+"""Run telemetry: the one record that is persisted and merged.
 
-Historically each layer grew its own ad-hoc stats dict: the SAT solver's
-``stats()``, the GA evaluation cache's ``cache_stats()``, the decamouflage
-attack's ``prefilter_stats()`` and the per-generation ``GenerationStats``
-rows.  They were near-identical in spirit (flat name -> number counters) but
-incompatible in shape, so nothing downstream could aggregate across layers.
+Each layer reports its work as the plain stats dict it already returns:
+the SAT solver's ``stats()``, the GA evaluation cache's ``cache_stats()``,
+the plausibility oracle's ``prefilter_stats()``.  Readers that only print
+those numbers (the tables in :mod:`repro.flow.report`) take the dicts as
+they are.
 
-:class:`RunTelemetry` is the common record.  It is a label plus a set of
-named *scopes*, each scope a flat mapping of counter name to number.  The
-operations every consumer needs are provided once:
+:class:`RunTelemetry` is for the numbers that outlive the call: campaign job
+payloads, ``BENCH_*.json`` artifacts and the coordinator's ``/metrics``.  It
+is a label plus a set of named *scopes*, each scope a flat mapping of
+counter name to number:
 
-* ``count`` / ``record`` / ``get`` for incremental accumulation,
+* ``count`` / ``record`` / ``get`` for incremental accumulation, and
+  ``absorb(scope, stats)`` to fold a layer's stats dict into a scope,
 * ``merged`` for combining records (counters add, scopes union),
-* ``to_dict`` / ``from_dict`` / ``to_json`` / ``from_json`` for persistence
-  in campaign state payloads and ``BENCH_*.json`` artifacts,
-* ``from_solver_stats`` / ``from_cache_stats`` / ``from_prefilter_stats`` /
-  ``from_ga_history`` adapters that absorb the legacy dicts.
+* ``to_dict`` / ``from_dict`` for persistence.
 
-The report rows in :mod:`repro.flow.report` are thin views over this record,
-and the strategy layers (pass scheduling, windowing) read their measurement
+The strategy layers (pass scheduling, windowing) read their measurement
 feedback from it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "RunTelemetry",
@@ -42,7 +39,7 @@ def _is_number(value: Any) -> bool:
 
 @dataclass
 class RunTelemetry:
-    """A labelled set of named counter scopes with JSON round-trip.
+    """A labelled set of named counter scopes with a dict round-trip.
 
     ``scopes`` maps a scope name (``"solver"``, ``"cache"``, ``"synth"``,
     ``"window"``, ...) to a flat ``counter name -> number`` mapping.  Merging
@@ -72,7 +69,7 @@ class RunTelemetry:
         return self.scopes.get(scope, {}).get(key, default)
 
     def absorb(self, scope: str, stats: Mapping[str, Any]) -> "RunTelemetry":
-        """Add every numeric entry of a legacy stats dict into ``scope``."""
+        """Add every numeric entry of a layer's stats dict into ``scope``."""
         for key, value in stats.items():
             if _is_number(value):
                 self.count(scope, key, value)
@@ -82,7 +79,7 @@ class RunTelemetry:
         """Yield every numeric ``(scope, key, value)`` triple, sorted.
 
         The flat view the metrics registry absorbs; non-numeric values are
-        skipped with the same tolerance :meth:`absorb` extends to legacy
+        skipped with the same tolerance :meth:`absorb` extends to layer
         stats dicts.
         """
         for scope_name in sorted(self.scopes):
@@ -128,54 +125,6 @@ class RunTelemetry:
             if not isinstance(counters, Mapping):
                 raise ValueError(f"telemetry scope {name!r} must be a mapping")
             record.absorb(str(name), counters)
-        return record
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunTelemetry":
-        return cls.from_dict(json.loads(text))
-
-    # -- adapters for the legacy stats dicts ------------------------------
-
-    @classmethod
-    def from_solver_stats(
-        cls, stats: Mapping[str, Any], label: str = ""
-    ) -> "RunTelemetry":
-        """Absorb :meth:`repro.sat.solver.SatSolver.stats` output."""
-        return cls(label=label).absorb("solver", stats)
-
-    @classmethod
-    def from_cache_stats(
-        cls, stats: Mapping[str, Any], label: str = ""
-    ) -> "RunTelemetry":
-        """Absorb :meth:`repro.ga.pinopt.PinAssignmentProblem.cache_stats`."""
-        return cls(label=label).absorb("cache", stats)
-
-    @classmethod
-    def from_prefilter_stats(
-        cls, stats: Mapping[str, Any], label: str = ""
-    ) -> "RunTelemetry":
-        """Absorb :meth:`repro.attacks.decamouflage.DecamouflageAttack.prefilter_stats`."""
-        return cls(label=label).absorb("prefilter", stats)
-
-    @classmethod
-    def from_ga_history(
-        cls, history: Sequence[Any], label: str = "", stopped_early: bool = False
-    ) -> "RunTelemetry":
-        """Summarise a GA run's ``GenerationStats`` history into counters."""
-        record = cls(label=label)
-        if not history:
-            return record
-        last = history[-1]
-        record.record("ga", "generations", len(history))
-        record.record("ga", "evaluations", getattr(last, "evaluations_so_far", 0))
-        record.record("ga", "cache_hits", getattr(last, "cache_hits", 0))
-        if stopped_early:
-            # The wall-clock budget cut the search short; the best-so-far
-            # genotype in the result is partial progress, not a converged run.
-            record.record("ga", "stopped_early", 1)
         return record
 
     def __repr__(self) -> str:

@@ -4,11 +4,11 @@ import pytest
 
 from repro.flow import (
     AreaRow,
-    SolverStatsRow,
     format_solver_stats,
     format_table,
     improvement_percent,
 )
+from repro.flow.report import format_cache_stats
 
 
 class TestImprovement:
@@ -57,22 +57,7 @@ class TestFormatTable:
 
 
 class TestSolverStats:
-    def test_from_stats_and_as_dict(self):
-        stats = {
-            "solve_calls": 7,
-            "conflicts": 12,
-            "decisions": 90,
-            "propagations": 640,
-            "learned_clauses": 11,
-            "num_vars": 55,
-        }
-        row = SolverStatsRow.from_stats("DIP loop", stats)
-        assert row.solve_calls == 7
-        assert row.learned_clauses == 11
-        data = row.as_dict()
-        assert data["label"] == "DIP loop"
-        assert data["propagations"] == 640
-
+    # Golden tables: CLI and benchmark output must not change by a byte.
     def test_from_solver(self):
         from repro.sat import SatSolver
 
@@ -80,18 +65,49 @@ class TestSolverStats:
         x = solver.new_var()
         solver.add_clause([x])
         solver.solve()
-        row = SolverStatsRow.from_stats("unit", solver.stats())
-        assert row.solve_calls == 1
+        text = format_solver_stats([("unit", solver.stats())])
+        assert text.splitlines()[2].split()[:2] == ["unit", "1"]
 
     def test_layout(self):
         rows = [
-            SolverStatsRow("oracle", 4, 32, 86, 639, 31),
-            SolverStatsRow("DIP loop", 5, 0, 12, 99, 0),
+            ("oracle", {"solve_calls": 4, "conflicts": 32, "decisions": 86,
+                        "propagations": 639, "learned_clauses": 31}),
+            ("DIP loop", {"solve_calls": 5, "conflicts": 0, "decisions": 12,
+                          "propagations": 99, "learned_clauses": 0,
+                          "num_vars": 55}),
         ]
-        text = format_solver_stats(rows, title="solver work")
-        lines = text.splitlines()
-        assert lines[0] == "solver work"
-        assert "Workload" in lines[1]
-        assert len(lines) == 2 + 1 + len(rows)
-        assert lines[3].startswith("oracle")
-        assert lines[4].rstrip().endswith("0")
+        assert format_solver_stats(rows, title="solver work") == (
+            "solver work\n"
+            "Workload                  Calls  Conflicts  Decisions     Props  Learned\n"
+            "------------------------------------------------------------------------\n"
+            "oracle                        4         32         86       639       31\n"
+            "DIP loop                      5          0         12        99        0"
+        )
+
+    def test_missing_counters_render_as_zero(self):
+        stats = {"solve_calls": 1, "conflicts": 2, "decisions": 3, "propagations": 4}
+        assert format_solver_stats([("x", stats)]) == (
+            "Workload                  Calls  Conflicts  Decisions     Props  Learned\n"
+            "------------------------------------------------------------------------\n"
+            "x                             1          2          3         4        0"
+        )
+
+
+class TestCacheStats:
+    def test_layout_with_zero_request_row(self):
+        rows = [
+            ("PRESENT x2", {"evaluations": 40, "genotype_hits": 7,
+                            "signature_hits": 3}),
+            ("DES x2", {"evaluations": 0, "genotype_hits": 0,
+                        "signature_hits": 0}),
+        ]
+        text = format_cache_stats(
+            rows, jobs=2, title="fitness-cache work (GA, parent process):"
+        )
+        assert text == (
+            "fitness-cache work (GA, parent process):\n"
+            "Workload                  Synth  GenoHits  SigHits  HitRate  Jobs\n"
+            "-----------------------------------------------------------------\n"
+            "PRESENT x2                   40         7        3    20.0%     2\n"
+            "DES x2                        0         0        0     0.0%     2"
+        )

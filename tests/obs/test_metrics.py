@@ -95,14 +95,15 @@ class TestAbsorbTelemetry:
         assert fresh.value("repro_telemetry_so_lver_dip_queries") == 1.0
 
     def test_plain_scopes_mapping_accepted(self, fresh):
-        class Legacy:
-            scopes = {"solver": {"conflicts": 3}}
-
-        fresh.absorb_telemetry(Legacy())
+        # A persisted payload mapping enters through RunTelemetry.from_dict,
+        # as the coordinator does with every committed job payload.
+        payload = {"scopes": {"solver": {"conflicts": 3, "flag": True}}}
+        fresh.absorb_telemetry(RunTelemetry.from_dict(payload))
         assert fresh.value("repro_telemetry_solver_conflicts") == 3.0
+        assert "repro_telemetry_solver_flag" not in fresh.render()
 
     def test_scopeless_object_ignored(self, fresh):
-        fresh.absorb_telemetry(object())
+        fresh.absorb_telemetry(RunTelemetry(label="empty"))
         assert fresh.render() == ""
 
 

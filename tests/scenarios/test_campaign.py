@@ -316,6 +316,24 @@ class TestRealJobs:
         assert payload["success"] is True
         assert payload["total_oracle_queries"] >= 1
         assert "solve_calls" in payload["solver"]
+        # Golden persisted telemetry record: campaign artifacts must not
+        # change by a byte.
+        assert payload["telemetry"] == {
+            "label": "attack",
+            "scopes": {
+                "solver": {
+                    "budget_exhaustions": 0,
+                    "conflicts": 2754,
+                    "decisions": 9337,
+                    "learned_clauses": 1834,
+                    "num_clauses": 20482,
+                    "num_vars": 2734,
+                    "propagations": 144138,
+                    "restarts": 6,
+                    "solve_calls": 1,
+                }
+            },
+        }
 
     def test_table1_failure_reraises_original_exception(self, tiny_profile, monkeypatch):
         import repro.evaluation.table1 as table1_module

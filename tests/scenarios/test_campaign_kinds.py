@@ -45,6 +45,31 @@ class TestAdversaryJobKinds:
         # The design's whole point: every viable function stays plausible.
         assert payload["all_plausible"] is True
         assert payload["prefilter"]["queries"] == 2
+        # Golden persisted telemetry record: campaign artifacts must not
+        # change by a byte.
+        assert payload["telemetry"] == {
+            "label": "decamouflage",
+            "scopes": {
+                "prefilter": {
+                    "cegar_rounds": 0,
+                    "cegar_verdicts": 0,
+                    "possibility_refutations": 0,
+                    "queries": 2,
+                    "words_encoded": 16,
+                },
+                "solver": {
+                    "budget_exhaustions": 0,
+                    "conflicts": 3059,
+                    "decisions": 9289,
+                    "learned_clauses": 2035,
+                    "num_clauses": 9612,
+                    "num_vars": 1301,
+                    "propagations": 151971,
+                    "restarts": 10,
+                    "solve_calls": 2,
+                },
+            },
+        }
 
     def test_decamouflage_job_honours_solve_budget(self):
         # The plausibility oracle must run under the attempt's solve budget,

@@ -28,7 +28,8 @@ from repro.service.protocol import (
     normalized_artifact_csv,
     normalized_artifact_json,
 )
-from repro.service.server import ServiceThread
+from repro.sat.solver import SolveBudget
+from repro.service.server import CampaignHandle, ServiceThread
 from repro.service.worker import WorkerAgent
 
 
@@ -286,6 +287,44 @@ class TestWorkerExecution:
             assert "bad parameters" in failed[0]["error"]
             document = json.loads(client.artifact(campaign_id, "json"))
             assert document["results"][0]["status"] == "error"
+
+
+class TestAttemptPolicy:
+    def test_budget_escalates_then_times_out(self, tmp_path):
+        """Service retries follow the local runner's attempt policy.
+
+        Every attempt exhausts its solve budget: the budget doubles per
+        prior failure, and once the retries run out the job finishes
+        ``timed_out`` rather than ``error``.
+        """
+        spec = probe_spec(count=1, name="budget")
+        handle = CampaignHandle(
+            "c_budget",
+            spec,
+            str(tmp_path / "campaign"),
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
+            solve_budget=SolveBudget(max_conflicts=100),
+        )
+        budgets, outcomes = [], []
+        for _ in range(3):
+            ticket = handle.claim("w1", poll=0.01)
+            budgets.append(ticket["budget"])
+            outcomes.append(
+                handle.fail_job(
+                    "w1",
+                    ticket["job"]["job_id"],
+                    "SolveBudgetExceeded: conflict budget of 100 exhausted",
+                )
+            )
+        assert budgets == ["conflicts=100", "conflicts=200", "conflicts=400"]
+        assert [outcome.get("retry") for outcome in outcomes[:2]] == [True, True]
+        assert outcomes[2] == {"terminal": "timed_out"}
+        assert handle.job_state("probe_0")[0] == "timed_out"
+        assert handle.status()["states"] == {"probe_0": "timed_out"}
+        robustness = handle.robustness()
+        assert robustness["retries"] == 2
+        assert robustness["timed_out"] == 1
+        assert handle.claim("w1", poll=0.01) == {"done": True}
 
 
 class TestLeaseSafety:

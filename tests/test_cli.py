@@ -101,6 +101,15 @@ class TestCommands:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "plausible=True" in captured.out
+        # Exact solver-work table; solver transcripts are identical on both
+        # backends, so this holds under REPRO_BACKEND=pure and =native.
+        table = captured.out[captured.out.index("incremental solver work:"):]
+        assert table == (
+            "incremental solver work:\n"
+            "Workload                  Calls  Conflicts  Decisions     Props  Learned\n"
+            "------------------------------------------------------------------------\n"
+            "plausibility oracle           2       3059       9289    151971     2035\n"
+        )
 
     def test_campaign_duplicate_workload_is_clean_error(self, capsys):
         with pytest.raises(SystemExit) as info:

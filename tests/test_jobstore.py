@@ -11,7 +11,6 @@ from repro.jobstore import (
     DEFAULT_LEASE_TTL,
     LEASE_TTL_ENV_VAR,
     RETRY_ATTEMPTS_ENV_VAR,
-    RETRY_BASE_DELAY_ENV_VAR,
     JobStore,
     LeaseLost,
     RetryPolicy,
@@ -165,10 +164,14 @@ class TestEnvironment:
 
     def test_retry_policy_from_environment(self, monkeypatch):
         monkeypatch.setenv(RETRY_ATTEMPTS_ENV_VAR, "5")
-        monkeypatch.setenv(RETRY_BASE_DELAY_ENV_VAR, "0.25")
+        # The backoff delays are no longer environment knobs: a stale
+        # variable is ignored and the policy keeps its field defaults.
+        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.25")
+        monkeypatch.setenv("REPRO_RETRY_MAX_DELAY", "1")
         policy = RetryPolicy.from_environment()
         assert policy.max_attempts == 5
-        assert policy.base_delay == 0.25
+        assert policy.base_delay == RetryPolicy().base_delay == 0.1
+        assert policy.max_delay == RetryPolicy().max_delay == 30.0
 
 
 class TestRetryPolicy:
