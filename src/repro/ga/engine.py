@@ -18,7 +18,6 @@ setting.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,19 +39,12 @@ class GAParameters:
     tournament_size: int = 3
     elite_count: int = 2
     seed: int = 1
-    #: Wall-clock budget for the whole run (None = unlimited).  Checked
-    #: between generations, so the search stops early but cleanly: the
-    #: result carries the best-so-far genotype and the full history of the
-    #: generations that did run, with ``stopped_early`` set.
-    max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
         if not 0.0 <= self.crossover_probability <= 1.0:
             raise ValueError("crossover_probability must be in [0, 1]")
         if not 0.0 <= self.mutation_probability <= 1.0:
@@ -96,9 +88,6 @@ class GAResult:
     history: List[GenerationStats]
     evaluations: int
     hall_of_fame: List[Tuple[Genotype, float]] = field(default_factory=list)
-    #: True when the wall-clock budget cut the run short of its generation
-    #: count; ``best_genotype`` is then the best individual found so far.
-    stopped_early: bool = False
 
     @property
     def generations(self) -> int:
@@ -211,12 +200,6 @@ class GeneticAlgorithm:
         """
         params = self.parameters
         rng = random.Random(params.seed)
-        deadline = (
-            time.monotonic() + params.max_seconds
-            if params.max_seconds is not None
-            else None
-        )
-        stopped_early = False
 
         genotypes: List[Genotype] = [list(g) for g in (initial_population or [])]
         genotypes = genotypes[: params.population_size]
@@ -238,12 +221,6 @@ class GeneticAlgorithm:
                 progress(history[-1])
 
             for generation in range(1, params.generations + 1):
-                if deadline is not None and time.monotonic() >= deadline:
-                    # Budget spent: keep everything evolved so far and stop
-                    # between generations (never mid-evaluation), so the
-                    # result is a valid, fully evaluated population snapshot.
-                    stopped_early = True
-                    break
                 offspring: List[Genotype] = []
                 # Elitism: carry over the best individuals unchanged.
                 elite = sorted(population, key=lambda item: item[1])[: params.elite_count]
@@ -282,7 +259,6 @@ class GeneticAlgorithm:
             history=history,
             evaluations=self._evaluations,
             hall_of_fame=list(hall),
-            stopped_early=stopped_early,
         )
 
     # -------------------------------------------------------------- #

@@ -45,6 +45,30 @@ solver incrementally ingests the formula.
 Statistics are kept both cumulatively on the solver (``solver.conflicts``,
 ``solver.stats()``) and per call on the returned :class:`SatResult`
 (``result.conflicts`` is the number of conflicts *this* call needed).
+
+Data layout
+-----------
+
+The pure solver keeps MiniSat's layout (Eén & Sörensson, "An Extensible
+SAT-solver", SAT 2003) so the interpreter does as little per literal as
+it can.  The search itself is fixed: the compiled core in
+``repro._native._core`` mirrors it step for step, and the solver-work
+counters are pinned in the tests and the benchmark of record.
+
+* Assignments and watch lists are *literal-indexed*: one list of
+  ``2 * capacity + 1`` slots each, where literal ``l`` lives at index
+  ``l`` and a negative literal reaches its slot through Python's negative
+  indexing.  Reading a literal's value is one list lookup, with no
+  ``abs`` and no sign flip.  Growth opens a gap between the positive and
+  the negative halves, and the capacity at least doubles each time, so
+  a follow-mode ``cnf.new_var()`` costs amortised O(1).
+* Every unassigned variable has exactly *one live entry* in the VSIDS
+  order heap, carrying its current activity.  A backtrack pushes a
+  variable only when its live entry is gone or its activity has moved,
+  and the live mark is cleared when the pick discards that entry.  Stale
+  entries still exist, so the pick discards them lazily, and it returns
+  the minimum over valid entries.  The decision sequence is therefore
+  the same as with one push per unassignment.
 """
 
 from __future__ import annotations
@@ -70,10 +94,6 @@ __all__ = [
 
 #: Environment variable supplying a default per-call solve budget spec.
 BUDGET_ENV_VAR = "REPRO_SOLVE_BUDGET"
-
-_UNASSIGNED = 0
-_TRUE = 1
-_FALSE = -1
 
 
 class SolveBudgetExceeded(RuntimeError):
@@ -225,25 +245,37 @@ class SatSolver:
         if self.backend == "native":
             self._core = backend_mod.native_module().SolverCore()
         self._num_vars = 0
+        # Slots the literal-indexed arrays hold per polarity; doubles on
+        # growth (see reserve_vars).
+        self._capacity = 0
         self._clauses: List[List[int]] = []
         self._learned_flags: List[bool] = []
         self._num_learned = 0
         # Problem clauses as added by the client, including units and
         # clauses simplified away at level 0 (which never reach _clauses).
         self._num_problem_clauses = 0
-        self._watches: Dict[int, List[int]] = {}
-        self._assign: List[int] = [_UNASSIGNED]
+        # Literal-indexed: slot l for literal l, negative literals through
+        # Python's negative indexing.  _value[l] is 1 (true), -1 (false) or
+        # 0 (unassigned); _watches[l] lists the clauses watching l.
+        self._value: List[int] = [0]
+        self._watches: List[Optional[List[int]]] = [None]
+        # Variable-indexed.  _reason is read only while its variable is
+        # assigned (every assignment sets it).
         self._level: List[int] = [0]
         self._reason: List[Optional[int]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
+        self._seen: List[bool] = [False]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         # Lazy max-heap of branching candidates as (-activity, variable)
         # entries; stale entries (assigned variables, outdated activities)
         # are discarded on pop.  Picks the same variable as a linear scan —
         # highest activity, lowest index on ties — in O(log n).
+        # _heap_live[v] is the key of v's one live entry (None when v has
+        # none), so a backtrack pushes only when v's activity has moved.
         self._order_heap: List[Tuple[float, int]] = []
+        self._heap_live: List[Optional[float]] = [None]
         self._queue_head = 0
         self._activity_increment = 1.0
         self._activity_decay = 0.95
@@ -297,12 +329,28 @@ class SatSolver:
         grow = num_vars - self._num_vars
         if grow <= 0:
             return
-        self._assign.extend([_UNASSIGNED] * grow)
+        if num_vars > self._capacity:
+            # Open a gap between the positive and the negative slots; the
+            # negative ones keep their offset from the end of the list.
+            # Watch lists are made as their variables come into range.
+            capacity = self._capacity
+            new_capacity = max(num_vars, 2 * capacity)
+            pad = 2 * (new_capacity - capacity)
+            self._value = self._value[: capacity + 1] + [0] * pad + self._value[capacity + 1 :]
+            self._watches = (
+                self._watches[: capacity + 1] + [None] * pad + self._watches[capacity + 1 :]
+            )
+            self._capacity = new_capacity
         self._level.extend([0] * grow)
         self._reason.extend([None] * grow)
         self._activity.extend([0.0] * grow)
         self._phase.extend([False] * grow)
+        self._seen.extend([False] * grow)
+        self._heap_live.extend([-0.0] * grow)
+        watches = self._watches
         for variable in range(self._num_vars + 1, num_vars + 1):
+            watches[variable] = []
+            watches[-variable] = []
             heapq.heappush(self._order_heap, (-0.0, variable))
         self._num_vars = num_vars
 
@@ -345,6 +393,7 @@ class SatSolver:
             self.reserve_vars(max(abs(literal) for literal in clause))
         # Remove duplicates and level-0-falsified literals; drop tautologies
         # and clauses already satisfied at level 0.
+        value = self._value
         seen = set()
         cleaned: List[int] = []
         for literal in clause:
@@ -352,10 +401,9 @@ class SatSolver:
                 return
             if literal in seen:
                 continue
-            value = self._literal_value(literal)
-            if value == _TRUE:
+            if value[literal] == 1:
                 return
-            if value == _FALSE:
+            if value[literal] == -1:
                 continue
             seen.add(literal)
             cleaned.append(literal)
@@ -363,7 +411,8 @@ class SatSolver:
             self._trivially_unsat = True
             return
         if len(cleaned) == 1:
-            if not self._enqueue(cleaned[0], None) or self._propagate() is not None:
+            self._assign(cleaned[0], None)
+            if self._propagate() is not None:
                 self._trivially_unsat = True
             return
         self._attach_clause(cleaned)
@@ -379,227 +428,265 @@ class SatSolver:
         self._learned_flags.append(learned)
         if learned:
             self._num_learned += 1
-        self._watches.setdefault(literals[0], []).append(index)
-        self._watches.setdefault(literals[1], []).append(index)
+        self._watches[literals[0]].append(index)
+        self._watches[literals[1]].append(index)
         return index
 
-    # -------------------------------------------------------------- #
-    # Assignment helpers
-    # -------------------------------------------------------------- #
-    def _literal_value(self, literal: int) -> int:
-        value = self._assign[abs(literal)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if literal > 0 else -value
-
-    def _enqueue(self, literal: int, reason: Optional[int]) -> bool:
-        value = self._literal_value(literal)
-        if value == _TRUE:
-            return True
-        if value == _FALSE:
-            return False
+    def _assign(self, literal: int, reason: Optional[int]) -> None:
+        """Make the unassigned ``literal`` true at the current level."""
         variable = abs(literal)
-        self._assign[variable] = _TRUE if literal > 0 else _FALSE
-        self._level[variable] = self._decision_level()
+        self._value[literal] = 1
+        self._value[-literal] = -1
+        self._level[variable] = len(self._trail_lim)
         self._reason[variable] = reason
         self._phase[variable] = literal > 0
         self._trail.append(literal)
-        return True
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
 
     # -------------------------------------------------------------- #
     # Unit propagation with two watched literals
     # -------------------------------------------------------------- #
     def _propagate(self) -> Optional[int]:
-        while self._queue_head < len(self._trail):
-            literal = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.propagations += 1
-            falsified = -literal
-            watchers = self._watches.get(falsified, [])
-            index = 0
-            while index < len(watchers):
-                clause_index = watchers[index]
-                clause = self._clauses[clause_index]
-                # Ensure the falsified literal is in position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if self._literal_value(first) == _TRUE:
-                    index += 1
-                    continue
-                # Look for a new literal to watch.
-                found = False
-                for position in range(2, len(clause)):
-                    candidate = clause[position]
-                    if self._literal_value(candidate) != _FALSE:
-                        clause[1], clause[position] = clause[position], clause[1]
-                        self._watches.setdefault(candidate, []).append(clause_index)
-                        watchers[index] = watchers[-1]
-                        watchers.pop()
-                        found = True
-                        break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                if self._literal_value(first) == _FALSE:
-                    return clause_index
-                self._enqueue(first, clause_index)
-                index += 1
-        return None
+        # The hot loop: attributes live in locals, _assign is inlined, and
+        # the counters are written back however the loop ends.
+        trail = self._trail
+        clauses = self._clauses
+        watches = self._watches
+        value = self._value
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        current_level = len(self._trail_lim)
+        head = self._queue_head
+        propagations = self.propagations
+        try:
+            while head < len(trail):
+                falsified = -trail[head]
+                head += 1
+                propagations += 1
+                watchers = watches[falsified]
+                index = 0
+                # The list only shrinks below: new watches go to other lists.
+                end = len(watchers)
+                while index < end:
+                    clause_index = watchers[index]
+                    clause = clauses[clause_index]
+                    # Keep the falsified literal in position 1.  The swaps
+                    # move the clause's own int objects: storing the fresh
+                    # `falsified` would duplicate one per moved watch.
+                    first = clause[0]
+                    if first == falsified:
+                        first = clause[1]
+                        clause[1] = clause[0]
+                        clause[0] = first
+                    if value[first] == 1:
+                        index += 1
+                        continue
+                    # Look for a new literal to watch.
+                    for position in range(2, len(clause)):
+                        candidate = clause[position]
+                        if value[candidate] != -1:
+                            clause[position] = clause[1]
+                            clause[1] = candidate
+                            watches[candidate].append(clause_index)
+                            end -= 1
+                            watchers[index] = watchers[end]
+                            watchers.pop()
+                            break
+                    else:
+                        # Clause is unit or conflicting.
+                        if value[first] == -1:
+                            return clause_index
+                        variable = first if first > 0 else -first
+                        value[first] = 1
+                        value[-first] = -1
+                        level[variable] = current_level
+                        reason[variable] = clause_index
+                        phase[variable] = first > 0
+                        trail.append(first)
+                        index += 1
+            return None
+        finally:
+            self._queue_head = head
+            self.propagations = propagations
 
     # -------------------------------------------------------------- #
     # Conflict analysis (first UIP)
     # -------------------------------------------------------------- #
     def _analyze(self, conflict_index: int) -> Tuple[List[int], int]:
+        clauses = self._clauses
+        level = self._level
+        reason = self._reason
+        activity = self._activity
+        seen = self._seen
+        trail = self._trail
+        increment = self._activity_increment
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._num_vars + 1)
         counter = 0
         literal = 0
-        clause = self._clauses[conflict_index]
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        clause = clauses[conflict_index]
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_lim)
 
         while True:
             for clause_literal in clause:
                 # Skip the literal we are resolving on (the implied literal of
                 # the reason clause); everything else is examined.
-                if literal != 0 and clause_literal == literal:
+                if clause_literal == literal:
                     continue
-                variable = abs(clause_literal)
-                if seen[variable] or self._level[variable] == 0:
+                variable = clause_literal if clause_literal > 0 else -clause_literal
+                if seen[variable]:
+                    continue
+                variable_level = level[variable]
+                if variable_level == 0:
                     continue
                 seen[variable] = True
-                self._bump_activity(variable)
-                if self._level[variable] == current_level:
+                activity[variable] += increment
+                if activity[variable] > 1e100:
+                    for index in range(1, self._num_vars + 1):
+                        activity[index] *= 1e-100
+                    increment *= 1e-100
+                    self._activity_increment = increment
+                    # Every heap key is stale after rescaling.
+                    self._rebuild_order_heap()
+                if variable_level == current_level:
                     counter += 1
                 else:
                     learned.append(clause_literal)
             # Find the next literal of the current level on the trail.
-            while not seen[abs(self._trail[trail_index])]:
+            while True:
+                literal = trail[trail_index]
                 trail_index -= 1
-            literal = self._trail[trail_index]
-            variable = abs(literal)
+                variable = literal if literal > 0 else -literal
+                if seen[variable]:
+                    break
             seen[variable] = False
-            trail_index -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason_index = self._reason[variable]
-            clause = self._clauses[reason_index]
+            clause = clauses[reason[variable]]
 
         learned[0] = -literal
+        # Only the lower-level literals are still marked.
+        for clause_literal in learned[1:]:
+            seen[abs(clause_literal)] = False
         if len(learned) == 1:
             backtrack_level = 0
         else:
             # Move the highest-level literal (other than the asserting one)
             # to position 1 so it can be watched.
             best = 1
+            best_level = level[abs(learned[1])]
             for position in range(2, len(learned)):
-                if self._level[abs(learned[position])] > self._level[abs(learned[best])]:
+                position_level = level[abs(learned[position])]
+                if position_level > best_level:
                     best = position
+                    best_level = position_level
             learned[1], learned[best] = learned[best], learned[1]
-            backtrack_level = self._level[abs(learned[1])]
+            backtrack_level = best_level
         return learned, backtrack_level
 
-    def _bump_activity(self, variable: int) -> None:
-        self._activity[variable] += self._activity_increment
-        if self._activity[variable] > 1e100:
-            for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._activity_increment *= 1e-100
-            # Every heap key is stale after rescaling.
-            self._rebuild_order_heap()
-
     def _rebuild_order_heap(self) -> None:
-        self._order_heap = [
-            (-self._activity[index], index)
-            for index in range(1, self._num_vars + 1)
-            if self._assign[index] == _UNASSIGNED
-        ]
-        heapq.heapify(self._order_heap)
-
-    def _decay_activities(self) -> None:
-        self._activity_increment /= self._activity_decay
+        """One live entry per unassigned variable, at its current activity."""
+        value = self._value
+        activity = self._activity
+        live: List[Optional[float]] = [None] * (self._num_vars + 1)
+        heap = []
+        for variable in range(1, self._num_vars + 1):
+            if value[variable] == 0:
+                key = -activity[variable]
+                live[variable] = key
+                heap.append((key, variable))
+        heapq.heapify(heap)
+        self._order_heap = heap
+        self._heap_live = live
 
     # -------------------------------------------------------------- #
     # Backtracking / restarts
     # -------------------------------------------------------------- #
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for literal in reversed(self._trail[boundary:]):
-            variable = abs(literal)
-            self._assign[variable] = _UNASSIGNED
-            self._reason[variable] = None
-            heapq.heappush(self._order_heap, (-self._activity[variable], variable))
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+        trail = self._trail
+        value = self._value
+        activity = self._activity
+        live = self._heap_live
+        heap = self._order_heap
+        boundary = trail_lim[level]
+        for index in range(len(trail) - 1, boundary - 1, -1):
+            literal = trail[index]
+            value[literal] = 0
+            value[-literal] = 0
+            variable = literal if literal > 0 else -literal
+            # An activity only moves while its variable is assigned, so an
+            # entry that is still live is still valid.
+            key = -activity[variable]
+            if live[variable] != key:
+                live[variable] = key
+                heapq.heappush(heap, (key, variable))
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._queue_head = len(trail)
 
     def _reduce_learned(self, keep_fraction: float = 0.5) -> None:
         """Drop long, inactive learned clauses (simple size-based policy)."""
         # Only safe at decision level 0 with no active reasons.
-        if self._decision_level() != 0:
+        if self._trail_lim or self._num_learned < 2000:
             return
-        if self._num_learned < 2000:
-            return
-        # No clause needs to survive as a reason: at level 0 the only
-        # reasons belong to level-0 assignments, which conflict analysis
-        # skips, and they are all nulled after the rebuild below.
+        # Rebuild the watch lists in the same pass, in new-index order
+        # (original and short learned clauses, then the newest long ones),
+        # after freeing the old ones.
+        watches = self._watches
+        for literal in range(1, self._num_vars + 1):
+            watches[literal].clear()
+            watches[-literal].clear()
         kept_clauses: List[List[int]] = []
         kept_flags: List[bool] = []
         long_clauses: List[List[int]] = []
-        for index, clause in enumerate(self._clauses):
-            if not self._learned_flags[index]:
-                kept_clauses.append(clause)
-                kept_flags.append(False)
-            elif len(clause) <= 4:
-                kept_clauses.append(clause)
-                kept_flags.append(True)
-            else:
+        for clause, learned in zip(self._clauses, self._learned_flags):
+            if learned and len(clause) > 4:
                 long_clauses.append(clause)
+                continue
+            index = len(kept_clauses)
+            watches[clause[0]].append(index)
+            watches[clause[1]].append(index)
+            kept_clauses.append(clause)
+            kept_flags.append(learned)
         keep_count = int(len(long_clauses) * keep_fraction)
-        if keep_count:
-            kept_clauses.extend(long_clauses[-keep_count:])
-            kept_flags.extend([True] * keep_count)
+        for clause in long_clauses[len(long_clauses) - keep_count :]:
+            index = len(kept_clauses)
+            watches[clause[0]].append(index)
+            watches[clause[1]].append(index)
+            kept_clauses.append(clause)
+            kept_flags.append(True)
         self._clauses = kept_clauses
         self._learned_flags = kept_flags
         self._num_learned = sum(kept_flags)
-        self._rebuild_watches_and_reasons()
-
-    def _rebuild_watches_and_reasons(self) -> None:
-        self._watches = {}
-        for index, clause in enumerate(self._clauses):
-            if len(clause) >= 2:
-                self._watches.setdefault(clause[0], []).append(index)
-                self._watches.setdefault(clause[1], []).append(index)
-        for variable in range(1, self._num_vars + 1):
-            if self._reason[variable] is not None:
-                self._reason[variable] = None
+        # No clause needs to survive as a reason: at level 0 the only
+        # reasons belong to level-0 assignments, which conflict analysis
+        # skips; drop the stale indices all the same.
+        self._reason = [None] * (self._num_vars + 1)
 
     # -------------------------------------------------------------- #
     # Decisions
     # -------------------------------------------------------------- #
     def _pick_branch_variable(self) -> Optional[int]:
         # Stale entries are discarded lazily at the top, so on long-lived
-        # solvers the heap can accumulate one tuple per unassignment;
-        # compact it once it clearly outgrows the variable range.
+        # solvers the heap can still collect outdated keys; compact it once
+        # it clearly outgrows the variable range.
         if len(self._order_heap) > 64 + 4 * self._num_vars:
             self._rebuild_order_heap()
         heap = self._order_heap
+        value = self._value
+        activity = self._activity
+        live = self._heap_live
         while heap:
-            negated_activity, variable = heap[0]
-            if (
-                self._assign[variable] != _UNASSIGNED
-                or -negated_activity != self._activity[variable]
-            ):
-                heapq.heappop(heap)
-                continue
-            return variable
+            key, variable = heap[0]
+            if value[variable] == 0 and -key == activity[variable]:
+                return variable
+            heapq.heappop(heap)
+            if live[variable] == key:
+                live[variable] = None
         return None
 
     # -------------------------------------------------------------- #
@@ -657,7 +744,7 @@ class SatSolver:
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_since_restart += 1
-                if self._decision_level() == 0:
+                if not self._trail_lim:
                     self._trivially_unsat = True
                     return self._unsat_result(stats_base)
                 if budget is not None and self._budget_exhausted(
@@ -668,14 +755,14 @@ class SatSolver:
                     return self._unknown_result(stats_base)
                 learned, backtrack_level = self._analyze(conflict)
                 self._backtrack(backtrack_level)
+                # The asserting literal's variable was assigned above the
+                # backtrack level, so it is free now.
                 if len(learned) == 1:
-                    if not self._enqueue(learned[0], None):
-                        self._trivially_unsat = True
-                        return self._unsat_result(stats_base)
+                    self._assign(learned[0], None)
                 else:
                     clause_index = self._attach_clause(learned, learned=True)
-                    self._enqueue(learned[0], clause_index)
-                self._decay_activities()
+                    self._assign(learned[0], clause_index)
+                self._activity_increment /= self._activity_decay
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
                     self.restarts += 1
@@ -687,14 +774,14 @@ class SatSolver:
             # Apply pending assumptions as decisions.
             if len(self._trail_lim) < len(assumption_queue):
                 literal = assumption_queue[len(self._trail_lim)]
-                value = self._literal_value(literal)
-                if value == _FALSE:
+                value = self._value[literal]
+                if value == -1:
                     # Failed under the assumptions only; the clause database
                     # may well be satisfiable under other assumptions.
                     return self._unsat_result(stats_base)
                 self._trail_lim.append(len(self._trail))
-                if value == _UNASSIGNED:
-                    self._enqueue(literal, None)
+                if value == 0:
+                    self._assign(literal, None)
                 continue
 
             variable = self._pick_branch_variable()
@@ -703,7 +790,7 @@ class SatSolver:
             self.decisions += 1
             self._trail_lim.append(len(self._trail))
             phase = self._phase[variable]
-            self._enqueue(variable if phase else -variable, None)
+            self._assign(variable if phase else -variable, None)
 
     def _solve_native(
         self,
@@ -787,10 +874,11 @@ class SatSolver:
     ) -> SatResult:
         self._note_solve("sat", stats_base)
         if model is None:
+            value = self._value
             model = {
-                variable: self._assign[variable] == _TRUE
+                variable: value[variable] == 1
                 for variable in range(1, self._num_vars + 1)
-                if self._assign[variable] != _UNASSIGNED
+                if value[variable] != 0
             }
         return SatResult(
             True,

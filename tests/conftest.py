@@ -115,6 +115,23 @@ def pigeonhole():
     return _make
 
 
+@pytest.fixture(scope="session")
+def random_3sat():
+    """Factory for seeded uniform random 3-SAT over ``num_vars`` variables."""
+
+    def _make(num_vars, num_clauses, seed):
+        rng = random.Random(seed)
+        cnf = Cnf(num_vars)
+        for _ in range(num_clauses):
+            chosen = rng.sample(range(1, num_vars + 1), 3)
+            cnf.add_clause(
+                [variable if rng.random() < 0.5 else -variable for variable in chosen]
+            )
+        return cnf
+
+    return _make
+
+
 @pytest.fixture
 def rng():
     """A deterministic random generator for tests."""

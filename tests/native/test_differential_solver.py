@@ -3,8 +3,9 @@
 The compiled core claims *transcript identity*: same verdicts, same
 models, and same decision/conflict/propagation counts on every input.
 These tests drive both backends in lockstep over the NeuroSAT-style
-corpus, incremental interleavings, assumptions, budgets, restarts, and
-learned-clause reduction, asserting exact equality throughout.
+corpus, incremental interleavings, assumptions, budgets, restarts,
+learned-clause reduction, activity rescaling and mid-life growth of the
+variable range, asserting exact equality throughout.
 """
 
 from __future__ import annotations
@@ -99,6 +100,22 @@ class TestIncrementalAndAssumptions:
                     ]
                 assert_lockstep(pure, native, assumptions=assumptions)
 
+    def test_growth_after_learning(self, random_3sat):
+        # Learn first, then grow three ways: a follow-mode cnf.new_var(),
+        # a clause naming variable 300 and an assumption on variable 410.
+        cnf = random_3sat(80, 330, 4)
+        pure = SatSolver(cnf, follow=True, backend="pure")
+        native = SatSolver(cnf, follow=True, backend="native")
+        assert assert_lockstep(pure, native).conflicts > 0
+        fresh = cnf.new_var()
+        cnf.add_clause([fresh, 1, -2])
+        for solver in (pure, native):
+            solver.add_clause([-fresh, 300, 7])
+        assert_lockstep(pure, native, assumptions=[-fresh, -410])
+        assert_lockstep(pure, native, assumptions=[fresh, -300])
+        assert assert_lockstep(pure, native).status == "sat"
+        assert pure.num_vars == 410
+
     def test_assumption_vars_beyond_clause_range(self):
         pure, native = both()
         for solver in (pure, native):
@@ -173,3 +190,10 @@ class TestRestartStrategies:
         pure, native = both(pigeonhole(8, 7))
         assert assert_lockstep(pure, native).status == "unsat"
         assert pure.restarts == 7
+
+    def test_activity_rescale_transcripts_match(self, random_3sat):
+        # 9574 conflicts: the activity increment passes 1e100 twice, so the
+        # rescale and the order-heap rebuild after it both run.
+        pure, native = both(random_3sat(200, 852, 3))
+        assert assert_lockstep(pure, native).status == "sat"
+        assert pure.conflicts == 9574
